@@ -20,7 +20,8 @@ import (
 )
 
 // TestWarmInvokeZeroAllocs pins the warm synchronous invoke path at zero
-// heap allocations per request.
+// heap allocations per request, both bare and through a TenantHandle (whose
+// tenant-scoped lookup must not build a "tenant/name" key per call).
 func TestWarmInvokeZeroAllocs(t *testing.T) {
 	p := core.New(core.Options{})
 	if err := p.FaaS.Register("noop", "bench", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
@@ -30,18 +31,30 @@ func TestWarmInvokeZeroAllocs(t *testing.T) {
 	}
 	// Past the tracer retention cap and every lazily-built ring.
 	for i := 0; i < 20000; i++ {
-		if _, err := p.FaaS.Invoke("noop", nil); err != nil {
+		if _, err := p.FaaS.Invoke(faas.Req{Name: "noop"}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got := testing.AllocsPerRun(2000, func() {
-		if _, err := p.FaaS.Invoke("noop", nil); err != nil {
+		if _, err := p.FaaS.Invoke(faas.Req{Name: "noop"}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if got != 0 {
 		t.Fatalf("warm invoke allocates %.3f allocs/op, want 0", got)
 	}
+
+	t.Run("TenantHandle", func(t *testing.T) {
+		h := p.Tenant("bench")
+		got := testing.AllocsPerRun(2000, func() {
+			if _, err := h.Invoke("noop", nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Fatalf("warm tenant invoke allocates %.3f allocs/op, want 0", got)
+		}
+	})
 }
 
 // TestPublishSyncAtMostOneAlloc pins the synchronous publish path at ≤1
@@ -73,7 +86,7 @@ func TestPublishSyncAtMostOneAlloc(t *testing.T) {
 	}
 }
 
-// TestWarmInvokeTracedZeroAllocs pins the warm invoke path at zero allocs
+// TestTracedWarmInvokeZeroAllocs pins the warm invoke path at zero allocs
 // with tracing *actively staging* spans. The tail sampler is configured to
 // discard every normal trace (KeepFraction 0, nothing slow enough to force
 // a keep), so the retention buffer never fills and the full-tracer
@@ -81,7 +94,7 @@ func TestPublishSyncAtMostOneAlloc(t *testing.T) {
 // measured invoke runs the real span staging, finalization and sampling
 // machinery. Per-trace buffers must come from the tracer's free list and
 // span contexts from atomics for this to stay at zero.
-func TestWarmInvokeTracedZeroAllocs(t *testing.T) {
+func TestTracedWarmInvokeZeroAllocs(t *testing.T) {
 	p := core.New(core.Options{})
 	p.Obs.Tracer().SetSampler(obs.SamplerConfig{
 		Seed:          7,
@@ -94,12 +107,12 @@ func TestWarmInvokeTracedZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20000; i++ {
-		if _, err := p.FaaS.Invoke("noop", nil); err != nil {
+		if _, err := p.FaaS.Invoke(faas.Req{Name: "noop"}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got := testing.AllocsPerRun(2000, func() {
-		if _, err := p.FaaS.Invoke("noop", nil); err != nil {
+		if _, err := p.FaaS.Invoke(faas.Req{Name: "noop"}); err != nil {
 			t.Fatal(err)
 		}
 	})

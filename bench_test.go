@@ -87,12 +87,12 @@ func BenchmarkInvokeWarm(b *testing.B) {
 	}, faas.Config{WarmStart: 1, ColdStart: 1, KeepAlive: time.Hour}); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := p.FaaS.Invoke("noop", nil); err != nil {
+	if _, err := p.FaaS.Invoke(faas.Req{Name: "noop"}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.FaaS.Invoke("noop", nil); err != nil {
+		if _, err := p.FaaS.Invoke(faas.Req{Name: "noop"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,14 +139,14 @@ func BenchmarkBreakerFastFail(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		_, _ = p.FaaS.Invoke("flaky", nil)
+		_, _ = p.FaaS.Invoke(faas.Req{Name: "flaky"})
 	}
 	if st, err := p.FaaS.BreakerState("flaky"); err != nil || st != "open" {
 		b.Fatalf("breaker = %q, %v; want open", st, err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.FaaS.Invoke("flaky", nil); !errors.Is(err, faas.ErrCircuitOpen) {
+		if _, err := p.FaaS.Invoke(faas.Req{Name: "flaky"}); !errors.Is(err, faas.ErrCircuitOpen) {
 			b.Fatalf("want ErrCircuitOpen, got %v", err)
 		}
 	}
@@ -166,7 +166,7 @@ func BenchmarkInvokeWithRetry(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := p.FaaS.InvokeWithRetry("noop", nil, pol); err != nil {
+			if _, err := p.FaaS.InvokeWithRetry(faas.Req{Name: "noop"}, pol); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -184,7 +184,7 @@ func BenchmarkInvokeWithRetry(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := p.FaaS.InvokeWithRetry("flip", nil, pol)
+			res, err := p.FaaS.InvokeWithRetry(faas.Req{Name: "flip"}, pol)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -343,7 +343,7 @@ func BenchmarkInvokeWarmParallel(b *testing.B) {
 		}, faas.Config{WarmStart: 1, ColdStart: 1, KeepAlive: time.Hour, MaxConcurrency: 1 << 20}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := p.FaaS.Invoke(names[i], nil); err != nil {
+		if _, err := p.FaaS.Invoke(faas.Req{Name: names[i]}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -353,7 +353,7 @@ func BenchmarkInvokeWarmParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		name := names[int(next.Add(1)-1)%nFuncs]
 		for pb.Next() {
-			if _, err := p.FaaS.Invoke(name, nil); err != nil {
+			if _, err := p.FaaS.Invoke(faas.Req{Name: name}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -634,13 +634,13 @@ func BenchmarkTracePropagation(b *testing.B) {
 		}, faas.Config{WarmStart: 1, ColdStart: 1, KeepAlive: time.Hour}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := p.FaaS.Invoke("noop", nil); err != nil {
+		if _, err := p.FaaS.Invoke(faas.Req{Name: "noop"}); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := p.FaaS.Invoke("noop", nil); err != nil {
+			if _, err := p.FaaS.Invoke(faas.Req{Name: "noop"}); err != nil {
 				b.Fatal(err)
 			}
 		}

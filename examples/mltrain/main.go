@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faas"
 	"repro/internal/mlserve"
 )
 
@@ -77,7 +78,7 @@ func main() {
 		fmt.Println("\n— inference serving (shared model cache) —")
 		for i := 0; i < 3; i++ {
 			req, _ := json.Marshal(mlserve.InferRequest{Features: train.X[i]})
-			res, err := platform.FaaS.Invoke(fn, req)
+			res, err := platform.FaaS.Invoke(faas.Req{Name: fn, Payload: req})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -177,7 +177,7 @@ func Run(p *faas.Platform, store ShuffleStore, job Job, chunks []string) (map[st
 			Chunk string `json:"chunk"`
 		}{i, chunk})
 		wg.Add(1)
-		p.InvokeAsync(mapperName, payload, func(_ faas.Result, err error) {
+		p.InvokeAsync(faas.Req{Name: mapperName, Payload: payload}, func(_ faas.Result, err error) {
 			mu.Lock()
 			if err != nil && firstErr == nil {
 				firstErr = err
@@ -199,7 +199,7 @@ func Run(p *faas.Platform, store ShuffleStore, job Job, chunks []string) (map[st
 			Partition int `json:"partition"`
 		}{r})
 		wg.Add(1)
-		p.InvokeAsync(reducerName, payload, func(res faas.Result, err error) {
+		p.InvokeAsync(faas.Req{Name: reducerName, Payload: payload}, func(res faas.Result, err error) {
 			mu.Lock()
 			if err != nil && firstErr == nil {
 				firstErr = err

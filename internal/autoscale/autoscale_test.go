@@ -125,7 +125,7 @@ func TestKeepAliveIsTheScaleToZeroFloor(t *testing.T) {
 		PanicWindow: time.Second, ScaleToZeroAfter: 2 * time.Second,
 	})
 	v.Run(func() {
-		if _, err := p.Invoke("sticky", nil); err != nil {
+		if _, err := p.Invoke(faas.Req{Name: "sticky"}); err != nil {
 			t.Fatal(err)
 		}
 		// 10s idle: well past ScaleToZeroAfter, inside KeepAlive.

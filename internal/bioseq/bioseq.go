@@ -198,7 +198,7 @@ func AllPairsServerless(p *faas.Platform, seqs []string, s Scoring, cfg Serverle
 		}
 		payload, _ := json.Marshal(pairs[lo:hi])
 		wg.Add(1)
-		p.InvokeAsync(fnName, payload, func(res faas.Result, err error) {
+		p.InvokeAsync(faas.Req{Name: fnName, Payload: payload}, func(res faas.Result, err error) {
 			mu.Lock()
 			if err != nil && firstErr == nil {
 				firstErr = err

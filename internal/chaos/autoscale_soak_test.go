@@ -128,7 +128,7 @@ func runAutoscaleSoak(t *testing.T, seed int64) autoscaleSoakResult {
 				v.Go(func() {
 					defer wg.Done()
 					v.Sleep(time.Duration(wave)*500*time.Millisecond + 700*time.Microsecond)
-					out, err := fp.Invoke("writer", []byte(key))
+					out, err := fp.Invoke(faas.Req{Name: "writer", Payload: []byte(key)})
 					mu.Lock()
 					defer mu.Unlock()
 					res.invoked++

@@ -39,11 +39,6 @@ const (
 	// redelivered through the exact-cursor redelivery queue — the
 	// at-least-once delivery fault the conformance explorer probes.
 	OpDuplicate Op = "duplicate"
-	// OpCrashAfterEffect arms the named function's registered Crasher
-	// (KindFunction) to kill its next attempt after N effect boundaries
-	// (N == 0: at entry). The platform's retry then re-executes the partial
-	// attempt — the crash-mid-handler fault of the formal semantics.
-	OpCrashAfterEffect Op = "crash-after-effect"
 )
 
 // Kind is a fault target class.
@@ -55,9 +50,6 @@ const (
 	KindJiffy  Kind = "jiffy"
 	// KindSub targets a pulsar subscription; Target is "topic/sub".
 	KindSub Kind = "sub"
-	// KindFunction targets a registered FaaS function's effect-boundary
-	// Crasher (see Injector.RegisterCrasher).
-	KindFunction Kind = "function"
 )
 
 // Event is one scheduled fault, At ticks after injection starts.
@@ -214,22 +206,10 @@ type Injector struct {
 	obsInjected *obs.Counter
 	obsMTTR     *obs.Histogram
 
-	mu       sync.Mutex
-	log      []string
-	downAt   map[string]time.Time
-	crashers map[string]*Crasher // function name → effect-boundary crasher
-	wg       sync.WaitGroup
-}
-
-// RegisterCrasher attaches a function's effect-boundary Crasher so
-// OpCrashAfterEffect events with KindFunction and Target name can arm it.
-func (inj *Injector) RegisterCrasher(name string, c *Crasher) {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	if inj.crashers == nil {
-		inj.crashers = map[string]*Crasher{}
-	}
-	inj.crashers[name] = c
+	mu     sync.Mutex
+	log    []string
+	downAt map[string]time.Time
+	wg     sync.WaitGroup
 }
 
 // NewInjector wires an injector to the stack under test.
@@ -364,17 +344,6 @@ func (inj *Injector) dispatch(e Event) string {
 		default:
 			return "(unsupported on sub)"
 		}
-	case KindFunction:
-		inj.mu.Lock()
-		cr := inj.crashers[e.Target]
-		inj.mu.Unlock()
-		if cr == nil {
-			return "(no crasher registered)"
-		}
-		if e.Op != OpCrashAfterEffect {
-			return "(unsupported on function)"
-		}
-		cr.Arm(e.N)
 	case KindJiffy:
 		if inj.mem == nil {
 			return "(no jiffy controller)"

@@ -43,20 +43,19 @@ func TestScheduleJSONRoundTripGenerated(t *testing.T) {
 	}
 }
 
-// The new conformance fault kinds (duplicate delivery, crash-after-effect)
-// round-trip too, including sub-millisecond offsets and N fields.
+// The conformance fault kinds (duplicate delivery, dropped acks) round-trip
+// too, including sub-millisecond offsets and N fields.
 func TestScheduleJSONRoundTripConformanceOps(t *testing.T) {
 	sch := Schedule{
 		{At: 333 * time.Microsecond, Op: OpDuplicate, Kind: KindSub, Target: "orders/workers"},
 		{At: time.Millisecond + 333*time.Microsecond, Op: OpDrop, Kind: KindSub, Target: "orders/workers", N: 2},
-		{At: 2 * time.Millisecond, Op: OpCrashAfterEffect, Kind: KindFunction, Target: "checkout", N: 1},
 		{At: 5 * time.Millisecond, Op: OpSlow, Kind: KindBroker, Target: "broker-0", Latency: 1500 * time.Microsecond},
 	}
 	raw, err := json.Marshal(sch)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	if !strings.Contains(string(raw), `"op":"duplicate"`) || !strings.Contains(string(raw), `"op":"crash-after-effect"`) {
+	if !strings.Contains(string(raw), `"op":"duplicate"`) || !strings.Contains(string(raw), `"kind":"sub"`) {
 		t.Fatalf("wire form missing conformance ops: %s", raw)
 	}
 	var back Schedule

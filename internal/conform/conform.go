@@ -492,9 +492,9 @@ func driveInvocation(env *Env, w Workload, i int, plan InvPlan) error {
 	}
 	var err error
 	if w.DedupKeyed {
-		_, err = p.InvokeWithRetryIdem(envFunction, key, payload, pol)
+		_, err = p.InvokeWithRetry(faas.Req{Name: envFunction, Payload: payload, IdemKey: key}, pol)
 	} else {
-		_, err = p.InvokeWithRetry(envFunction, payload, pol)
+		_, err = p.InvokeWithRetry(faas.Req{Name: envFunction, Payload: payload}, pol)
 	}
 	cr.Disarm()
 	if err != nil {
@@ -502,9 +502,9 @@ func driveInvocation(env *Env, w Workload, i int, plan InvPlan) error {
 	}
 	for d := 0; d < plan.Dups; d++ {
 		if w.DedupKeyed {
-			_, err = p.InvokeIdem(envFunction, key, payload)
+			_, err = p.Invoke(faas.Req{Name: envFunction, Payload: payload, IdemKey: key})
 		} else {
-			_, err = p.Invoke(envFunction, payload)
+			_, err = p.Invoke(faas.Req{Name: envFunction, Payload: payload})
 		}
 		if err != nil {
 			return fmt.Errorf("duplicate delivery %d failed: %w", d, err)

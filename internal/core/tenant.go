@@ -43,14 +43,14 @@ func (t *TenantHandle) Register(name string, h faas.Handler, cfg faas.Config) er
 // never registered — a tenant cannot see (or probe for) another tenant's
 // deployments.
 func (t *TenantHandle) Invoke(name string, payload []byte) (faas.Result, error) {
-	return t.p.FaaS.InvokeFor(t.name, name, payload)
+	return t.p.FaaS.Invoke(faas.Req{Tenant: t.name, Name: name, Payload: payload})
 }
 
 // InvokeAsync runs one of this tenant's functions on its own goroutine with
 // the platform's transparent retry; done (if non-nil) receives the final
 // result. Cross-tenant names fail like Invoke.
 func (t *TenantHandle) InvokeAsync(name string, payload []byte, done func(faas.Result, error)) {
-	t.p.FaaS.InvokeAsyncFor(t.name, name, payload, done)
+	t.p.FaaS.InvokeAsync(faas.Req{Tenant: t.name, Name: name, Payload: payload}, done)
 }
 
 // Unregister removes one of this tenant's functions. Like Invoke, the name

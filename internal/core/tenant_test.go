@@ -113,8 +113,12 @@ func TestTenantNamespacedFunctionNames(t *testing.T) {
 			t.Fatalf("missing = %v", err)
 		}
 		// The tenant-unscoped bare faas lookup cannot pick a winner.
-		if _, err := p.FaaS.Invoke("resize", nil); !errors.Is(err, faas.ErrAmbiguous) {
+		if _, err := p.FaaS.Invoke(faas.Req{Name: "resize"}); !errors.Is(err, faas.ErrAmbiguous) {
 			t.Fatalf("bare Invoke(resize) = %v, want ErrAmbiguous", err)
+		}
+		// ...but a "tenant/name" qualified name still resolves exactly.
+		if res, err := p.FaaS.Invoke(faas.Req{Name: "evil/resize"}); err != nil || string(res.Output) != "evil" {
+			t.Fatalf("qualified Invoke(evil/resize) = %q, %v", res.Output, err)
 		}
 	})
 	if _, ok := p.FaaS.PoolTarget("acme/resize"); !ok {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faas"
 	"repro/internal/mlserve"
 )
 
@@ -169,7 +170,7 @@ func E17Inference() Table {
 			}
 			req := inferPayload(len(model))
 			for i := 0; i < 21; i++ {
-				res, err := p.FaaS.Invoke(fn, req)
+				res, err := p.FaaS.Invoke(faas.Req{Name: fn, Payload: req})
 				if err != nil {
 					panic(err)
 				}

@@ -275,7 +275,7 @@ func TestColdStartBudget(t *testing.T) {
 
 		// Without a budget the cold placement fails immediately.
 		start := v.Now()
-		_, err := p.Invoke("strict", nil)
+		_, err := p.Invoke(Req{Name: "strict"})
 		if !errors.Is(err, ErrThrottled) {
 			t.Fatalf("no-budget err = %v, want ErrThrottled", err)
 		}
@@ -286,7 +286,7 @@ func TestColdStartBudget(t *testing.T) {
 		// With a budget and no relief, the invocation fails only after the
 		// budget lapses, with the typed timeout sentinel.
 		start = v.Now()
-		_, err = p.Invoke("late", nil)
+		_, err = p.Invoke(Req{Name: "late"})
 		if !errors.Is(err, ErrColdStartTimeout) || !errors.Is(err, errs.ErrColdStartTimeout) {
 			t.Fatalf("budget err = %v, want ErrColdStartTimeout", err)
 		}
@@ -301,7 +301,7 @@ func TestColdStartBudget(t *testing.T) {
 				t.Errorf("trim hog: %v", err)
 			}
 		})
-		res, err := p.Invoke("late", nil)
+		res, err := p.Invoke(Req{Name: "late"})
 		must(t, err)
 		if !res.Cold {
 			t.Fatal("rescued invocation should be cold")

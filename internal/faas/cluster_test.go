@@ -117,7 +117,7 @@ func TestInterferenceSlowdown(t *testing.T) {
 	}))
 	v.Run(func() {
 		// Alone: 1s of work takes 1s.
-		res, err := p.Invoke("noisy", nil)
+		res, err := p.Invoke(Req{Name: "noisy"})
 		must(t, err)
 		if res.Latency > 1100*time.Millisecond {
 			t.Errorf("solo latency %v", res.Latency)

@@ -28,7 +28,7 @@ func TestRetryBreakerTripBillingConsistent(t *testing.T) {
 		BreakerCooldown:  time.Hour,
 	}))
 	v.Run(func() {
-		res, err := p.InvokeWithRetry("f", nil, RetryPolicy{
+		res, err := p.InvokeWithRetry(Req{Name: "f"}, RetryPolicy{
 			MaxAttempts: 5,
 			Base:        time.Millisecond,
 			Jitter:      -1,
@@ -64,12 +64,12 @@ func TestDedupWindowServesCachedResult(t *testing.T) {
 		return []byte("ok"), nil
 	}, Config{DedupWindow: time.Minute}))
 	v.Run(func() {
-		r1, err := p.InvokeIdem("f", "k1", nil)
+		r1, err := p.Invoke(Req{Name: "f", IdemKey: "k1"})
 		must(t, err)
 		if r1.Deduped {
 			t.Error("first keyed invoke must execute, not dedup")
 		}
-		r2, err := p.InvokeIdem("f", "k1", nil)
+		r2, err := p.Invoke(Req{Name: "f", IdemKey: "k1"})
 		must(t, err)
 		if !r2.Deduped {
 			t.Error("duplicate key inside the window must be served from cache")
@@ -77,7 +77,7 @@ func TestDedupWindowServesCachedResult(t *testing.T) {
 		if string(r2.Output) != "ok" {
 			t.Errorf("cached output = %q, want %q", r2.Output, "ok")
 		}
-		if r3, err := p.InvokeIdem("f", "k2", nil); err != nil || r3.Deduped {
+		if r3, err := p.Invoke(Req{Name: "f", IdemKey: "k2"}); err != nil || r3.Deduped {
 			t.Errorf("fresh key: err=%v deduped=%v, want execution", err, r3.Deduped)
 		}
 		if got := atomic.LoadInt64(&execs); got != 2 {
@@ -88,7 +88,7 @@ func TestDedupWindowServesCachedResult(t *testing.T) {
 		}
 		// Past the window the key executes again.
 		v.Sleep(2 * time.Minute)
-		r4, err := p.InvokeIdem("f", "k1", nil)
+		r4, err := p.Invoke(Req{Name: "f", IdemKey: "k1"})
 		must(t, err)
 		if r4.Deduped {
 			t.Error("key past the window must re-execute")
@@ -108,11 +108,11 @@ func TestDedupNeverCachesFailures(t *testing.T) {
 	var healthy int64
 	must(t, p.Register("f", "acme", failing(&healthy), Config{DedupWindow: time.Minute}))
 	v.Run(func() {
-		if _, err := p.InvokeIdem("f", "k", nil); err == nil {
+		if _, err := p.Invoke(Req{Name: "f", IdemKey: "k"}); err == nil {
 			t.Fatal("want handler failure")
 		}
 		atomic.StoreInt64(&healthy, 1)
-		res, err := p.InvokeIdem("f", "k", nil)
+		res, err := p.Invoke(Req{Name: "f", IdemKey: "k"})
 		must(t, err)
 		if res.Deduped {
 			t.Error("retry after failure was deduped; failures must not be cached")
@@ -147,12 +147,12 @@ func TestRetryDecideLostReply(t *testing.T) {
 		Decide:      func(attempt int, res Result, err error) bool { return attempt < 2 },
 	}
 	v.Run(func() {
-		res, err := p.InvokeWithRetry("plain", nil, lostReply)
+		res, err := p.InvokeWithRetry(Req{Name: "plain"}, lostReply)
 		must(t, err)
 		if res.Attempt != 2 || atomic.LoadInt64(&plain) != 2 {
 			t.Errorf("plain: attempt=%d execs=%d, want 2/2 (lost reply re-executes)", res.Attempt, plain)
 		}
-		res, err = p.InvokeWithRetryIdem("keyed", "req-1", nil, lostReply)
+		res, err = p.InvokeWithRetry(Req{Name: "keyed", IdemKey: "req-1"}, lostReply)
 		must(t, err)
 		if res.Attempt != 2 || !res.Deduped {
 			t.Errorf("keyed: attempt=%d deduped=%v, want attempt 2 served from cache", res.Attempt, res.Deduped)

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,9 +103,9 @@ type Config struct {
 	// behaviour: a failed placement throttles immediately.
 	ColdStartBudget time.Duration
 	// DedupWindow arms per-function idempotency-key deduplication: an invoke
-	// carrying a key (InvokeIdem, InvokeWithRetryIdem) whose previous keyed
-	// invocation *succeeded* within the window is served the cached Result —
-	// no handler execution, no billing — with Result.Deduped set. This is the
+	// carrying a key (Req.IdemKey) whose previous keyed invocation
+	// *succeeded* within the window is served the cached Result — no
+	// handler execution, no billing — with Result.Deduped set. This is the
 	// opt-in half of exactly-once-observable semantics over an at-least-once
 	// transport: the platform still retries, but a client that lost the reply
 	// and re-sends its key cannot double-execute the handler. Failed attempts
@@ -158,10 +159,10 @@ type Ctx struct {
 	InstanceID   int64 // identity of the warm instance running this request
 	Attempt      int   // 1-based attempt number under async retry
 	// Trace is the handler span's causal context. Handlers thread it into
-	// downstream trace-aware APIs (pulsar SendTrace, jiffy Traced, nested
-	// InvokeTrace) so one request is one trace across subsystems. It is two
-	// int64s copied by value — safe to pass onward even though *Ctx itself
-	// is pooled and must not be retained.
+	// downstream trace-aware APIs (pulsar SendTrace, jiffy Traced, a nested
+	// invoke's Req.Trace) so one request is one trace across subsystems. It
+	// is two int64s copied by value — safe to pass onward even though *Ctx
+	// itself is pooled and must not be retained.
 	Trace obs.TraceCtx
 
 	budget   time.Duration // remaining execution time
@@ -223,7 +224,7 @@ type ScalePoint struct {
 
 type function struct {
 	name     string
-	key      string // tenant-qualified registry key: "tenant/name"
+	key      string // tenant-qualified name "tenant/name", for loads and cluster slots
 	tenant   string
 	handler  Handler
 	cfg      Config
@@ -366,7 +367,7 @@ type Platform struct {
 	meter *billing.Meter
 
 	mu        sync.RWMutex // guards functions, bare, cluster, penalty, adm
-	functions map[string]*function
+	functions map[fnKey]*function
 	// bare indexes functions by unqualified name, maintained at
 	// Register/Unregister time so bare-name lookup on the invoke hot path is
 	// one map probe instead of a registry scan. A nil value marks a name
@@ -415,7 +416,7 @@ func New(clock simclock.Clock, meter *billing.Meter) *Platform {
 	return &Platform{
 		clock:     clock,
 		meter:     meter,
-		functions: map[string]*function{},
+		functions: map[fnKey]*function{},
 		bare:      map[string]*function{},
 		rng:       rand.New(rand.NewSource(0x7a05)),
 	}
@@ -476,20 +477,30 @@ func (p *Platform) Cluster() *scheduler.Cluster {
 	return p.cluster
 }
 
-// qualifiedKey is the registry key for a tenant's function. Function names
-// are a namespace per tenant: two tenants may each own a "resize".
-func qualifiedKey(tenant, name string) string { return tenant + "/" + name }
+// fnKey is the registry key for a tenant's function. Function names are a
+// namespace per tenant: two tenants may each own a "resize". A struct key
+// lets a tenant-scoped lookup probe the table without building a string.
+type fnKey struct{ tenant, name string }
 
-// lookupLocked resolves a bare or tenant-qualified ("tenant/name") function
-// name under p.mu. A bare name resolves when exactly one tenant owns it —
-// the whole pre-tenant-handle API keeps working unchanged — and fails with
-// ErrAmbiguous once several tenants deploy the same name, at which point
+// lookupLocked resolves a function under p.mu. With a tenant, name resolves
+// only within that tenant's namespace. Without one, name may be qualified
+// ("tenant/name") or bare; a bare name resolves when exactly one tenant owns
+// it — the whole pre-tenant-handle API keeps working unchanged — and fails
+// with ErrAmbiguous once several tenants deploy the same name, at which point
 // callers must qualify (or go through a TenantHandle, which always does).
-// Both forms are a single map probe: the bare index is maintained at
+// Every form is at most two map probes: the bare index is maintained at
 // registration time, so the invoke hot path never scans the registry.
-func (p *Platform) lookupLocked(name string) (*function, error) {
-	if fn, ok := p.functions[name]; ok {
-		return fn, nil
+func (p *Platform) lookupLocked(tenant, name string) (*function, error) {
+	if tenant != "" {
+		if fn, ok := p.functions[fnKey{tenant, name}]; ok {
+			return fn, nil
+		}
+		return nil, fmt.Errorf("%w: %q", ErrNoFunction, tenant+"/"+name)
+	}
+	if t, n, ok := strings.Cut(name, "/"); ok {
+		if fn, ok := p.functions[fnKey{t, n}]; ok {
+			return fn, nil
+		}
 	}
 	if fn, ok := p.bare[name]; ok {
 		if fn == nil {
@@ -524,10 +535,10 @@ func (p *Platform) rebuildBareLocked(name string) {
 	}
 }
 
-func (p *Platform) lookup(name string) (*function, error) {
+func (p *Platform) lookup(tenant, name string) (*function, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.lookupLocked(name)
+	return p.lookupLocked(tenant, name)
 }
 
 // Register adds a function owned by tenant. With Prewarm > 0, the
@@ -535,13 +546,13 @@ func (p *Platform) lookup(name string) (*function, error) {
 // scoped per tenant: registration collides only with the same tenant's own
 // functions, never with (and without revealing) another tenant's.
 func (p *Platform) Register(name, tenant string, handler Handler, cfg Config) error {
-	key := qualifiedKey(tenant, name)
+	key := fnKey{tenant, name}
 	p.mu.Lock()
 	if _, ok := p.functions[key]; ok {
 		p.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	fn := &function{name: name, key: key, tenant: tenant, handler: handler, cfg: cfg.withDefaults(), platform: p}
+	fn := &function{name: name, key: tenant + "/" + name, tenant: tenant, handler: handler, cfg: cfg.withDefaults(), platform: p}
 	if fn.cfg.BreakerThreshold > 0 {
 		fn.brkGauge = p.obsReg.Gauge("faas.breaker.state." + name)
 	}
@@ -614,14 +625,16 @@ func (p *Platform) slowdownFor(fn *function, inst *instance) float64 {
 
 // Unregister removes a function, releasing its idle instances' cluster
 // capacity.
-func (p *Platform) Unregister(name string) error {
+func (p *Platform) Unregister(name string) error { return p.unregister("", name) }
+
+func (p *Platform) unregister(tenant, name string) error {
 	p.mu.Lock()
-	fn, err := p.lookupLocked(name)
+	fn, err := p.lookupLocked(tenant, name)
 	if err != nil {
 		p.mu.Unlock()
 		return err
 	}
-	delete(p.functions, fn.key)
+	delete(p.functions, fnKey{fn.tenant, fn.name})
 	p.rebuildBareLocked(fn.name)
 	p.mu.Unlock()
 
@@ -650,56 +663,48 @@ type Result struct {
 	Deduped bool
 }
 
+// Req is one invocation request: which function, with what payload, in
+// which causal context, under which idempotency key. It is the single
+// argument of Invoke, InvokeAsync and InvokeWithRetry.
+type Req struct {
+	// Tenant scopes Name to that tenant's namespace: another tenant's
+	// function of the same name is indistinguishable from an unregistered
+	// one. Empty resolves Name bare, or qualified as "tenant/name".
+	Tenant, Name string
+	Payload      []byte
+	// Trace is the inbound causal context: zero roots a new trace at this
+	// invocation; a valid context (an orchestrate step, a consuming
+	// function's handler span) attaches the invocation to the caller's trace.
+	Trace obs.TraceCtx
+	// IdemKey is the dedup-window key: on a function with a DedupWindow, a
+	// key whose previous invocation succeeded inside the window is answered
+	// from the cache (Result.Deduped) without executing or billing. Empty
+	// means no key.
+	IdemKey string
+}
+
 // Invoke runs a function synchronously and returns its result. The calling
 // goroutine pays the start latency and execution time on the platform clock.
-func (p *Platform) Invoke(name string, payload []byte) (Result, error) {
-	return p.invoke(name, payload, 1, obs.TraceCtx{}, "")
-}
-
-// InvokeIdem is Invoke carrying an idempotency key: on a function with a
-// DedupWindow, a key whose previous invocation succeeded inside the window is
-// answered from the cache (Result.Deduped) without executing or billing.
-func (p *Platform) InvokeIdem(name, idemKey string, payload []byte) (Result, error) {
-	return p.invoke(name, payload, 1, obs.TraceCtx{}, idemKey)
-}
-
-// InvokeTrace is Invoke with an inbound causal context: a zero tc roots a
-// new trace at this invocation; a valid tc (an orchestrate step, a consuming
-// function's handler span) attaches the invocation to the caller's trace.
-func (p *Platform) InvokeTrace(name string, payload []byte, tc obs.TraceCtx) (Result, error) {
-	return p.invoke(name, payload, 1, tc, "")
-}
-
-// InvokeFor runs tenant's function name synchronously, resolving only within
-// that tenant's namespace: another tenant's function of the same name is
-// indistinguishable from an unregistered one.
-func (p *Platform) InvokeFor(tenant, name string, payload []byte) (Result, error) {
-	return p.invoke(qualifiedKey(tenant, name), payload, 1, obs.TraceCtx{}, "")
-}
-
-// InvokeForTrace is InvokeFor with an inbound causal context.
-func (p *Platform) InvokeForTrace(tenant, name string, payload []byte, tc obs.TraceCtx) (Result, error) {
-	return p.invoke(qualifiedKey(tenant, name), payload, 1, tc, "")
-}
-
-// InvokeForTraceIdem is InvokeFor carrying both an inbound causal context and
-// an idempotency key — the full-surface entry point a front door (the HTTP
-// gateway) uses: one trace per external request, tenant-scoped resolution,
-// and keyed dedup when the caller re-sends a lost reply.
-func (p *Platform) InvokeForTraceIdem(tenant, name string, payload []byte, tc obs.TraceCtx, idemKey string) (Result, error) {
-	return p.invoke(qualifiedKey(tenant, name), payload, 1, tc, idemKey)
-}
+//
+// Invoke is kept out of line on purpose. The gateway runs each sync invoke on
+// a fresh goroutine whose stack first grows somewhere inside the handler;
+// with this frame inlined, kvdb-metered handlers hit that growth inside the
+// billing meter's mutex instead of before it, which raised gateway-mix p99
+// latency from about 1.7 ms to 2.4 ms on a 2-CPU VM.
+//
+//go:noinline
+func (p *Platform) Invoke(r Req) (Result, error) { return p.invoke(r, 1) }
 
 // UnregisterFor removes tenant's function name, resolving only within that
 // tenant's namespace: another tenant's same-named function is untouched and
 // unprobeable (ErrNoFunction either way).
 func (p *Platform) UnregisterFor(tenant, name string) error {
-	return p.Unregister(qualifiedKey(tenant, name))
+	return p.unregister(tenant, name)
 }
 
 // StatsFor is Stats resolved within tenant's namespace.
 func (p *Platform) StatsFor(tenant, name string) (Stats, error) {
-	return p.Stats(qualifiedKey(tenant, name))
+	return p.stats(tenant, name)
 }
 
 // FunctionInfo summarizes one registered function for control-plane listings.
@@ -725,14 +730,9 @@ func (p *Platform) FunctionsFor(tenant string) []FunctionInfo {
 	return out
 }
 
-// InvokeAsyncFor is InvokeAsync resolved within tenant's namespace.
-func (p *Platform) InvokeAsyncFor(tenant, name string, payload []byte, done func(Result, error)) {
-	p.InvokeAsync(qualifiedKey(tenant, name), payload, done)
-}
-
-func (p *Platform) invoke(name string, payload []byte, attempt int, parent obs.TraceCtx, idemKey string) (Result, error) {
+func (p *Platform) invoke(r Req, attempt int) (Result, error) {
 	p.mu.RLock()
-	fn, err := p.lookupLocked(name)
+	fn, err := p.lookupLocked(r.Tenant, r.Name)
 	adm := p.adm
 	p.mu.RUnlock()
 	if err != nil {
@@ -744,18 +744,18 @@ func (p *Platform) invoke(name string, payload []byte, attempt int, parent obs.T
 	// (orchestrate step, async retry wrapper, nested invocation). It covers
 	// admission, the breaker gate, queuing, and the handler, so shed and
 	// fast-failed requests still yield a (failed) trace.
-	span := p.obsTracer.Start(parent, "faas.invoke")
+	span := p.obsTracer.Start(r.Trace, "faas.invoke")
 
-	if len(payload) > fn.cfg.MaxPayload {
+	if len(r.Payload) > fn.cfg.MaxPayload {
 		span.EndLabeled(fn.tenant, fn.name, true)
-		return Result{}, fmt.Errorf("%w: %d > %d bytes", ErrPayloadSize, len(payload), fn.cfg.MaxPayload)
+		return Result{}, fmt.Errorf("%w: %d > %d bytes", ErrPayloadSize, len(r.Payload), fn.cfg.MaxPayload)
 	}
 
 	// Dedup window: a key that already succeeded inside the window never
 	// reaches admission, the breaker, the pool or the meter — the cached
 	// reply *is* the invocation, which is what makes keyed retries
 	// billing-invisible.
-	if res, ok := fn.dedupLookup(idemKey, p.clock.Now()); ok {
+	if res, ok := fn.dedupLookup(r.IdemKey, p.clock.Now()); ok {
 		res.RequestID = reqID
 		res.Attempt = attempt
 		res.Deduped = true
@@ -785,7 +785,7 @@ func (p *Platform) invoke(name string, payload []byte, attempt int, parent obs.T
 		if !ok {
 			p.obsBreakerFast.Inc()
 			span.EndLabeled(fn.tenant, fn.name, true)
-			return Result{RequestID: reqID, Attempt: attempt, TraceID: span.TraceID()}, fmt.Errorf("%w: %q", ErrCircuitOpen, name)
+			return Result{RequestID: reqID, Attempt: attempt, TraceID: span.TraceID()}, fmt.Errorf("%w: %q", ErrCircuitOpen, fn.name)
 		}
 		if probe {
 			fn.brkGauge.Set(breakerHalfOpen.gaugeValue())
@@ -816,7 +816,7 @@ func (p *Platform) invoke(name string, payload []byte, attempt int, parent obs.T
 			}
 			qspan.EndErr(true)
 			span.EndLabeled(fn.tenant, fn.name, true)
-			return Result{TraceID: span.TraceID()}, fmt.Errorf("%w: %q at %d", ErrThrottled, name, fn.cfg.MaxConcurrency)
+			return Result{TraceID: span.TraceID()}, fmt.Errorf("%w: %q at %d", ErrThrottled, fn.name, fn.cfg.MaxConcurrency)
 		}
 		fn.nextInst++
 		inst = &instance{id: fn.nextInst}
@@ -846,9 +846,9 @@ func (p *Platform) invoke(name string, payload []byte, attempt int, parent obs.T
 			span.EndLabeled(fn.tenant, fn.name, true)
 			if fn.cfg.ColdStartBudget > 0 {
 				return Result{TraceID: span.TraceID()}, fmt.Errorf("%w: %q after %v: %v",
-					ErrColdStartTimeout, name, fn.cfg.ColdStartBudget, err)
+					ErrColdStartTimeout, fn.name, fn.cfg.ColdStartBudget, err)
 			}
-			return Result{TraceID: span.TraceID()}, fmt.Errorf("%w: %q: %v", ErrThrottled, name, err)
+			return Result{TraceID: span.TraceID()}, fmt.Errorf("%w: %q: %v", ErrThrottled, fn.name, err)
 		}
 	}
 
@@ -874,7 +874,7 @@ func (p *Platform) invoke(name string, payload []byte, attempt int, parent obs.T
 	ctx := &req.ctx
 	*ctx = Ctx{
 		Clock:        p.clock,
-		FunctionName: name,
+		FunctionName: fn.name,
 		Tenant:       fn.tenant,
 		RequestID:    reqID,
 		InstanceID:   inst.id,
@@ -883,12 +883,12 @@ func (p *Platform) invoke(name string, payload []byte, attempt int, parent obs.T
 		budget:       fn.cfg.Timeout,
 		slowdown:     p.slowdownFor(fn, inst),
 	}
-	out, err := fn.handler(ctx, payload)
+	out, err := fn.handler(ctx, r.Payload)
 	timedOut := ctx.exceeded
 	execDur := ctx.worked
 	putRequest(req)
 	if timedOut {
-		err = fmt.Errorf("%w: %q after %v", ErrTimeout, name, fn.cfg.Timeout)
+		err = fmt.Errorf("%w: %q after %v", ErrTimeout, fn.name, fn.cfg.Timeout)
 		out = nil
 	}
 	hspan.EndErr(err != nil)
@@ -953,7 +953,7 @@ func (p *Platform) invoke(name string, payload []byte, attempt int, parent obs.T
 		TraceID:   span.TraceID(),
 	}
 	if err == nil {
-		fn.dedupStore(idemKey, res, end)
+		fn.dedupStore(r.IdemKey, res, end)
 	}
 	return res, err
 }
@@ -969,20 +969,24 @@ const asyncJitter = 0.2
 // InvokeAsync runs a function on its own goroutine, transparently
 // re-executing it on failure — with exponential backoff plus jitter — up to
 // the function's MaxRetries (§4.1: "most FaaS platforms re-execute functions
-// transparently on failure"). done, if non-nil, receives the final result;
-// its Attempt and RetryWait fields surface how many executions it took and
-// how long the retries backed off in total.
-func (p *Platform) InvokeAsync(name string, payload []byte, done func(Result, error)) {
+// transparently on failure"). Every attempt presents r.IdemKey. done, if
+// non-nil, receives the final result; its Attempt and RetryWait fields
+// surface how many executions it took and how long the retries backed off in
+// total.
+func (p *Platform) InvokeAsync(r Req, done func(Result, error)) {
 	p.clock.Go(func() {
-		fn, lookupErr := p.lookup(name)
+		fn, lookupErr := p.lookup(r.Tenant, r.Name)
 		retries := 0
 		if lookupErr == nil {
 			retries = fn.cfg.MaxRetries
 		}
-		// One async submission is one trace: the wrapper span roots it, each
-		// execution attempt and each backoff sleep is a child, so a trace of
-		// a retried request shows attempt 1 failing, the wait, attempt 2...
-		root := p.obsTracer.Start(obs.TraceCtx{}, "faas.invoke.async")
+		// One async submission is one trace (or one subtree of r.Trace): the
+		// wrapper span roots it, each execution attempt and each backoff
+		// sleep is a child, so a trace of a retried request shows attempt 1
+		// failing, the wait, attempt 2...
+		root := p.obsTracer.Start(r.Trace, "faas.invoke.async")
+		req := r // r stays unmodified so the closure captures it by value
+		req.Trace = root.Ctx()
 		var res Result
 		var err error
 		var waited time.Duration
@@ -996,7 +1000,7 @@ func (p *Platform) InvokeAsync(name string, payload []byte, done func(Result, er
 				waited += d
 				backoff *= 2
 			}
-			res, err = p.invoke(name, payload, attempt, root.Ctx(), "")
+			res, err = p.invoke(req, attempt)
 			res.Attempt = attempt
 			res.RetryWait = waited
 			if err == nil {
@@ -1100,8 +1104,10 @@ type Stats struct {
 
 // Stats returns a snapshot for a function, with the warm pool reaped as of
 // now (so WarmIdle reflects scale-to-zero).
-func (p *Platform) Stats(name string) (Stats, error) {
-	fn, err := p.lookup(name)
+func (p *Platform) Stats(name string) (Stats, error) { return p.stats("", name) }
+
+func (p *Platform) stats(tenant, name string) (Stats, error) {
+	fn, err := p.lookup(tenant, name)
 	if err != nil {
 		return Stats{}, err
 	}

@@ -22,13 +22,13 @@ func worker(d time.Duration) Handler {
 func TestRegisterInvoke(t *testing.T) {
 	p := New(simclock.Real{}, nil)
 	must(t, p.Register("echo", "t", echo, Config{}))
-	res, err := p.Invoke("echo", []byte("hi"))
+	res, err := p.Invoke(Req{Name: "echo", Payload: []byte("hi")})
 	must(t, err)
 	if string(res.Output) != "hi" || !res.Cold {
 		t.Fatalf("res = %+v", res)
 	}
 	// Second invoke reuses the warm instance.
-	res2, err := p.Invoke("echo", []byte("again"))
+	res2, err := p.Invoke(Req{Name: "echo", Payload: []byte("again")})
 	must(t, err)
 	if res2.Cold {
 		t.Fatal("second invocation was cold")
@@ -41,7 +41,7 @@ func TestRegisterDuplicateAndMissing(t *testing.T) {
 	if err := p.Register("f", "t", echo, Config{}); !errors.Is(err, ErrExists) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := p.Invoke("ghost", nil); !errors.Is(err, ErrNoFunction) {
+	if _, err := p.Invoke(Req{Name: "ghost"}); !errors.Is(err, ErrNoFunction) {
 		t.Fatalf("err = %v", err)
 	}
 	must(t, p.Unregister("f"))
@@ -57,12 +57,12 @@ func TestColdVsWarmLatency(t *testing.T) {
 	cfg := Config{ColdStart: 200 * time.Millisecond, WarmStart: time.Millisecond, KeepAlive: time.Hour}
 	must(t, p.Register("f", "t", worker(10*time.Millisecond), cfg))
 	v.Run(func() {
-		res1, err := p.Invoke("f", nil)
+		res1, err := p.Invoke(Req{Name: "f"})
 		must(t, err)
 		if res1.Latency != 210*time.Millisecond {
 			t.Errorf("cold latency = %v, want 210ms", res1.Latency)
 		}
-		res2, err := p.Invoke("f", nil)
+		res2, err := p.Invoke(Req{Name: "f"})
 		must(t, err)
 		if res2.Latency != 11*time.Millisecond {
 			t.Errorf("warm latency = %v, want 11ms", res2.Latency)
@@ -76,16 +76,16 @@ func TestKeepAliveExpiryCausesColdStart(t *testing.T) {
 	p := New(v, nil)
 	must(t, p.Register("f", "t", echo, Config{KeepAlive: time.Minute}))
 	v.Run(func() {
-		_, err := p.Invoke("f", nil)
+		_, err := p.Invoke(Req{Name: "f"})
 		must(t, err)
 		v.Sleep(30 * time.Second)
-		res, err := p.Invoke("f", nil)
+		res, err := p.Invoke(Req{Name: "f"})
 		must(t, err)
 		if res.Cold {
 			t.Error("instance reaped before keep-alive lapsed")
 		}
 		v.Sleep(2 * time.Minute)
-		res, err = p.Invoke("f", nil)
+		res, err = p.Invoke(Req{Name: "f"})
 		must(t, err)
 		if !res.Cold {
 			t.Error("instance survived past keep-alive")
@@ -100,7 +100,7 @@ func TestScaleToZero(t *testing.T) {
 	must(t, p.Register("f", "t", echo, Config{KeepAlive: time.Minute}))
 	v.Run(func() {
 		for i := 0; i < 3; i++ {
-			_, err := p.Invoke("f", nil)
+			_, err := p.Invoke(Req{Name: "f"})
 			must(t, err)
 		}
 		st, _ := p.Stats("f")
@@ -146,7 +146,7 @@ func TestConcurrencyThrottle(t *testing.T) {
 		var throttled int64
 		done := make(chan struct{}, 3)
 		for i := 0; i < 3; i++ {
-			p.InvokeAsync("f", nil, func(_ Result, err error) {
+			p.InvokeAsync(Req{Name: "f"}, func(_ Result, err error) {
 				if errors.Is(err, ErrThrottled) {
 					atomic.AddInt64(&throttled, 1)
 				}
@@ -171,7 +171,7 @@ func TestExecutionTimeLimit(t *testing.T) {
 	must(t, p.Register("slow", "t", worker(10*time.Second), Config{Timeout: time.Second, MaxRetries: -1}))
 	v.Run(func() {
 		start := v.Now()
-		_, err := p.Invoke("slow", nil)
+		_, err := p.Invoke(Req{Name: "slow"})
 		if !errors.Is(err, ErrTimeout) {
 			t.Errorf("err = %v, want ErrTimeout", err)
 		}
@@ -194,7 +194,7 @@ func TestBillingFineGrained(t *testing.T) {
 	// 250 ms of work at 1024 MB bills 300 ms → 0.3 GB-s.
 	must(t, p.Register("f", "acme", worker(250*time.Millisecond), Config{MemoryMB: 1024}))
 	v.Run(func() {
-		_, err := p.Invoke("f", nil)
+		_, err := p.Invoke(Req{Name: "f"})
 		must(t, err)
 	})
 	got := m.Units("acme", billing.ResInvocationGBs)
@@ -221,7 +221,7 @@ func TestAsyncRetrySucceedsEventually(t *testing.T) {
 	v.Run(func() {
 		done := make(chan error, 1)
 		var attempt int
-		p.InvokeAsync("flaky", nil, func(res Result, err error) {
+		p.InvokeAsync(Req{Name: "flaky"}, func(res Result, err error) {
 			attempt = int(atomic.LoadInt64(&calls))
 			done <- err
 		})
@@ -251,7 +251,7 @@ func TestAttemptNumberVisibleToHandler(t *testing.T) {
 	must(t, p.Register("f", "t", h, Config{MaxRetries: 2}))
 	v.Run(func() {
 		done := make(chan struct{})
-		p.InvokeAsync("f", nil, func(Result, error) { close(done) })
+		p.InvokeAsync(Req{Name: "f"}, func(Result, error) { close(done) })
 		v.BlockOn(func() { <-done })
 	})
 	if lastAttempt != 2 {
@@ -262,7 +262,7 @@ func TestAttemptNumberVisibleToHandler(t *testing.T) {
 func TestPayloadLimit(t *testing.T) {
 	p := New(simclock.Real{}, nil)
 	must(t, p.Register("f", "t", echo, Config{MaxPayload: 10}))
-	if _, err := p.Invoke("f", make([]byte, 11)); !errors.Is(err, ErrPayloadSize) {
+	if _, err := p.Invoke(Req{Name: "f", Payload: make([]byte, 11)}); !errors.Is(err, ErrPayloadSize) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -314,7 +314,7 @@ func TestHandlerErrorCountsAsFailure(t *testing.T) {
 	p := New(simclock.Real{}, nil)
 	boom := errors.New("boom")
 	must(t, p.Register("f", "t", func(*Ctx, []byte) ([]byte, error) { return nil, boom }, Config{}))
-	if _, err := p.Invoke("f", nil); !errors.Is(err, boom) {
+	if _, err := p.Invoke(Req{Name: "f"}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	st, _ := p.Stats("f")

@@ -71,7 +71,7 @@ func TestCtxAccessors(t *testing.T) {
 	}
 	must(t, p.Register("f", "t", h, Config{Timeout: time.Second}))
 	v.Run(func() {
-		_, err := p.Invoke("f", nil)
+		_, err := p.Invoke(Req{Name: "f"})
 		must(t, err)
 	})
 	if remaining != 900*time.Millisecond {

@@ -128,7 +128,7 @@ func (p *Platform) SetPoolTarget(name string, target int) (int, error) {
 	if target < 0 {
 		target = 0
 	}
-	fn, err := p.lookup(name)
+	fn, err := p.lookup("", name)
 	if err != nil {
 		return 0, err
 	}
@@ -209,20 +209,10 @@ func (p *Platform) provision(fn *function, inst *instance) {
 	p.obsPrewarmed.Inc()
 }
 
-// Owner returns the tenant that registered the function (false when the
-// function is unknown).
-func (p *Platform) Owner(name string) (string, bool) {
-	fn, err := p.lookup(name)
-	if err != nil {
-		return "", false
-	}
-	return fn.tenant, true
-}
-
 // PoolTarget returns the function's current autoscaler target (0 and false
 // when the function is unknown).
 func (p *Platform) PoolTarget(name string) (int, bool) {
-	fn, err := p.lookup(name)
+	fn, err := p.lookup("", name)
 	if err != nil {
 		return 0, false
 	}

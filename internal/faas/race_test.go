@@ -37,7 +37,7 @@ func TestParallelWarmInvokes(t *testing.T) {
 			defer wg.Done()
 			name := fmt.Sprintf("f%d", w%fns)
 			for n := 0; n < iters; n++ {
-				res, err := p.Invoke(name, []byte("x"))
+				res, err := p.Invoke(Req{Name: name, Payload: []byte("x")})
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return

@@ -39,7 +39,8 @@ func TestRequestPoolResetOnPut(t *testing.T) {
 // alloc-gate job). Each handler asserts the Ctx it was handed carries
 // exactly its own identity — a skipped reset or a data race on a recycled
 // request shows up as another tenant's field, a stale attempt count, or a
-// race report.
+// race report. Half the invokes resolve bare and half tenant-scoped: the
+// handler must see the same bare FunctionName whichever path resolved it.
 func TestRequestPoolNoCrossTenantLeak(t *testing.T) {
 	p := New(simclock.Real{}, nil)
 	const perTenant = 2000
@@ -71,7 +72,11 @@ func TestRequestPoolNoCrossTenantLeak(t *testing.T) {
 			defer wg.Done()
 			payload := []byte("payload-" + tenant)
 			for i := 0; i < perTenant; i++ {
-				res, err := p.Invoke("echo-"+tenant, payload)
+				r := Req{Name: "echo-" + tenant, Payload: payload}
+				if i%2 == 1 {
+					r.Tenant = tenant
+				}
+				res, err := p.Invoke(r)
 				if err != nil {
 					errs <- fmt.Errorf("%s invoke %d: %w", tenant, i, err)
 					return

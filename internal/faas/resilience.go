@@ -4,8 +4,6 @@ import (
 	"errors"
 	"sync"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // This file is the platform's sync-invoke resilience plane: a per-function
@@ -220,26 +218,17 @@ func (p *Platform) jittered(d time.Duration, frac float64) time.Duration {
 // after a capped exponential backoff with jitter. Errors that retrying
 // cannot fix — unknown function, oversized payload, an open circuit breaker
 // — return immediately: the breaker exists to shed load, so hammering it
-// from the retry loop would defeat the point. The returned Result's Attempt
-// and RetryWait fields report the attempt that produced it and the total
-// backoff slept.
-func (p *Platform) InvokeWithRetry(name string, payload []byte, pol RetryPolicy) (Result, error) {
-	return p.invokeWithRetry(name, "", payload, pol)
-}
-
-// InvokeWithRetryIdem is InvokeWithRetry carrying an idempotency key: every
-// attempt presents idemKey, so on a function with a DedupWindow a retry of an
-// attempt that actually succeeded (a lost reply) is served from the dedup
-// cache instead of re-executing the handler.
-func (p *Platform) InvokeWithRetryIdem(name, idemKey string, payload []byte, pol RetryPolicy) (Result, error) {
-	return p.invokeWithRetry(name, idemKey, payload, pol)
-}
-
-func (p *Platform) invokeWithRetry(name, idemKey string, payload []byte, pol RetryPolicy) (Result, error) {
+// from the retry loop would defeat the point. Every attempt presents
+// r.IdemKey, so on a function with a DedupWindow a retry of an attempt that
+// actually succeeded (a lost reply) is served from the dedup cache instead
+// of re-executing the handler. The returned Result's Attempt and RetryWait
+// fields report the attempt that produced it and the total backoff slept.
+func (p *Platform) InvokeWithRetry(r Req, pol RetryPolicy) (Result, error) {
 	pol = pol.withDefaults()
 	// All attempts share one trace under a retry-wrapper root, mirroring
 	// InvokeAsync: a retried request reads as one causal story, not N.
-	root := p.obsTracer.Start(obs.TraceCtx{}, "faas.invoke.retry")
+	root := p.obsTracer.Start(r.Trace, "faas.invoke.retry")
+	r.Trace = root.Ctx()
 	var res Result
 	var err error
 	var waited time.Duration
@@ -251,7 +240,7 @@ func (p *Platform) invokeWithRetry(name, idemKey string, payload []byte, pol Ret
 			wspan.End()
 			waited += d
 		}
-		res, err = p.invoke(name, payload, attempt, root.Ctx(), idemKey)
+		res, err = p.invoke(r, attempt)
 		res.Attempt = attempt
 		res.RetryWait = waited
 		if pol.Decide != nil {
@@ -282,7 +271,7 @@ func retryable(err error) bool {
 // BreakerState reports a function's current breaker position ("closed",
 // "open", "half-open"); functions without an armed breaker are "closed".
 func (p *Platform) BreakerState(name string) (string, error) {
-	fn, err := p.lookup(name)
+	fn, err := p.lookup("", name)
 	if err != nil {
 		return "", err
 	}

@@ -37,7 +37,7 @@ func TestBreakerOpensAndFastFails(t *testing.T) {
 	}))
 	v.Run(func() {
 		for i := 0; i < 3; i++ {
-			if _, err := p.Invoke("f", nil); err == nil {
+			if _, err := p.Invoke(Req{Name: "f"}); err == nil {
 				t.Error("want handler failure")
 			}
 		}
@@ -47,7 +47,7 @@ func TestBreakerOpensAndFastFails(t *testing.T) {
 		before, _ := p.Stats("f")
 		fastFails := 0
 		for i := 0; i < 100; i++ {
-			if _, err := p.Invoke("f", nil); errors.Is(err, ErrCircuitOpen) {
+			if _, err := p.Invoke(Req{Name: "f"}); errors.Is(err, ErrCircuitOpen) {
 				fastFails++
 			}
 		}
@@ -89,21 +89,21 @@ func TestBreakerHalfOpenProbeRecloses(t *testing.T) {
 		BreakerCooldown:  time.Second,
 	}))
 	v.Run(func() {
-		p.Invoke("f", nil)
-		p.Invoke("f", nil)
-		if _, err := p.Invoke("f", nil); !errors.Is(err, ErrCircuitOpen) {
+		p.Invoke(Req{Name: "f"})
+		p.Invoke(Req{Name: "f"})
+		if _, err := p.Invoke(Req{Name: "f"}); !errors.Is(err, ErrCircuitOpen) {
 			t.Errorf("err = %v, want ErrCircuitOpen", err)
 		}
 		atomic.StoreInt64(&healthy, 1)
 		v.Sleep(2 * time.Second)
 		// The next invoke is the half-open probe; it succeeds and re-closes.
-		if res, err := p.Invoke("f", nil); err != nil || string(res.Output) != "ok" {
+		if res, err := p.Invoke(Req{Name: "f"}); err != nil || string(res.Output) != "ok" {
 			t.Errorf("probe invoke = %q, %v", res.Output, err)
 		}
 		if st, _ := p.BreakerState("f"); st != "closed" {
 			t.Errorf("state after probe = %q, want closed", st)
 		}
-		if _, err := p.Invoke("f", nil); err != nil {
+		if _, err := p.Invoke(Req{Name: "f"}); err != nil {
 			t.Errorf("invoke after re-close: %v", err)
 		}
 	})
@@ -121,15 +121,15 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 		BreakerCooldown:  time.Second,
 	}))
 	v.Run(func() {
-		p.Invoke("f", nil) // opens
+		p.Invoke(Req{Name: "f"}) // opens
 		v.Sleep(2 * time.Second)
-		if _, err := p.Invoke("f", nil); err == nil || errors.Is(err, ErrCircuitOpen) {
+		if _, err := p.Invoke(Req{Name: "f"}); err == nil || errors.Is(err, ErrCircuitOpen) {
 			t.Errorf("probe err = %v, want handler failure", err)
 		}
 		if st, _ := p.BreakerState("f"); st != "open" {
 			t.Errorf("state after failed probe = %q, want open", st)
 		}
-		if _, err := p.Invoke("f", nil); !errors.Is(err, ErrCircuitOpen) {
+		if _, err := p.Invoke(Req{Name: "f"}); !errors.Is(err, ErrCircuitOpen) {
 			t.Errorf("err = %v, want ErrCircuitOpen", err)
 		}
 	})
@@ -150,7 +150,7 @@ func TestInvokeWithRetryBacksOff(t *testing.T) {
 	}
 	must(t, p.Register("f", "t", flaky, Config{}))
 	v.Run(func() {
-		res, err := p.InvokeWithRetry("f", nil, RetryPolicy{
+		res, err := p.InvokeWithRetry(Req{Name: "f"}, RetryPolicy{
 			MaxAttempts: 5,
 			Base:        100 * time.Millisecond,
 			Jitter:      -1, // exact backoffs
@@ -180,12 +180,12 @@ func TestInvokeWithRetryStopsOnNonRetryable(t *testing.T) {
 		BreakerCooldown:  time.Hour,
 	}))
 	v.Run(func() {
-		if _, err := p.InvokeWithRetry("nope", nil, RetryPolicy{}); !errors.Is(err, ErrNoFunction) {
+		if _, err := p.InvokeWithRetry(Req{Name: "nope"}, RetryPolicy{}); !errors.Is(err, ErrNoFunction) {
 			t.Errorf("err = %v, want ErrNoFunction", err)
 		}
-		p.Invoke("f", nil) // opens the breaker
+		p.Invoke(Req{Name: "f"}) // opens the breaker
 		start := v.Now()
-		res, err := p.InvokeWithRetry("f", nil, RetryPolicy{MaxAttempts: 5, Base: time.Second})
+		res, err := p.InvokeWithRetry(Req{Name: "f"}, RetryPolicy{MaxAttempts: 5, Base: time.Second})
 		if !errors.Is(err, ErrCircuitOpen) {
 			t.Errorf("err = %v, want ErrCircuitOpen", err)
 		}
@@ -212,7 +212,7 @@ func TestRetryJitterDeterministic(t *testing.T) {
 		var waits []time.Duration
 		v.Run(func() {
 			for i := 0; i < 4; i++ {
-				res, _ := p.InvokeWithRetry("f", nil, RetryPolicy{MaxAttempts: 3, Base: 50 * time.Millisecond})
+				res, _ := p.InvokeWithRetry(Req{Name: "f"}, RetryPolicy{MaxAttempts: 3, Base: 50 * time.Millisecond})
 				waits = append(waits, res.RetryWait)
 			}
 		})
@@ -250,7 +250,7 @@ func TestAsyncRetryJitterBounds(t *testing.T) {
 	var final Result
 	v.Run(func() {
 		done := make(chan struct{})
-		p.InvokeAsync("f", nil, func(res Result, err error) {
+		p.InvokeAsync(Req{Name: "f"}, func(res Result, err error) {
 			final = res
 			if err != nil {
 				t.Errorf("async retry failed: %v", err)

@@ -25,7 +25,7 @@ func BindQueue(p *Platform, qs *queue.Service, queueName, fnName string, batch i
 		}
 		for _, d := range deliveries {
 			d := d
-			p.InvokeAsync(fnName, d.Body, func(_ Result, err error) {
+			p.InvokeAsync(Req{Name: fnName, Payload: d.Body}, func(_ Result, err error) {
 				if err == nil {
 					_ = qs.Ack(qn, d.ReceiptHandle)
 				}
@@ -62,7 +62,7 @@ func BindBlob(p *Platform, store *blob.Store, bucketName, fnName string) {
 			Size:   e.Object.Size,
 			ETag:   e.Object.ETag,
 		})
-		p.InvokeAsync(fnName, payload, nil)
+		p.InvokeAsync(Req{Name: fnName, Payload: payload}, nil)
 	})
 }
 
@@ -106,7 +106,7 @@ func Drive(p *Platform, fnName string, payload []byte, arrivals []time.Duration)
 		for _, at := range arrivals {
 			p.clock.Sleep(at - prev)
 			prev = at
-			p.InvokeAsync(fnName, payload, func(res Result, err error) {
+			p.InvokeAsync(Req{Name: fnName, Payload: payload}, func(res Result, err error) {
 				rep.mu.Lock()
 				rep.results = append(rep.results, res)
 				if err != nil {

@@ -102,16 +102,9 @@ func (c *Client) Register(spec FunctionSpec) error {
 // Invoke runs a function synchronously and decodes the result metadata from
 // the response headers.
 func (c *Client) Invoke(name string, payload []byte) (InvokeResult, error) {
-	return c.InvokeIdem(name, "", payload)
-}
-
-// InvokeIdem is Invoke carrying an idempotency key.
-func (c *Client) InvokeIdem(name, idemKey string, payload []byte) (InvokeResult, error) {
-	hdr := map[string]string{"Content-Type": "application/octet-stream"}
-	if idemKey != "" {
-		hdr["Idempotency-Key"] = idemKey
-	}
-	_, body, respHdr, err := c.do(http.MethodPost, "/v1/functions/"+name+"/invoke", payload, hdr)
+	_, body, respHdr, err := c.do(http.MethodPost, "/v1/functions/"+name+"/invoke", payload, map[string]string{
+		"Content-Type": "application/octet-stream",
+	})
 	if err != nil {
 		return InvokeResult{}, err
 	}

@@ -239,7 +239,7 @@ func (g *Gateway) runInvoke(tenant, name string, payload []byte, idemKey string)
 			span = g.p.Obs.Tracer().Start(obs.TraceCtx{}, "gateway.invoke")
 			tc = span.Ctx()
 		}
-		res, err := g.p.FaaS.InvokeForTraceIdem(tenant, name, payload, tc, idemKey)
+		res, err := g.p.FaaS.Invoke(faas.Req{Tenant: tenant, Name: name, Payload: payload, Trace: tc, IdemKey: idemKey})
 		if span.Active() {
 			span.EndLabeled(tenant, name, err != nil)
 		}
@@ -325,9 +325,9 @@ func (g *Gateway) handleInvokeAsync(w http.ResponseWriter, r *http.Request, tena
 	g.invs[id] = &invocation{tenant: tenant, function: name}
 	g.mu.Unlock()
 
-	// InvokeAsyncFor spawns its own clock-tracked goroutine and applies the
+	// InvokeAsync spawns its own clock-tracked goroutine and applies the
 	// platform's transparent retry; the callback lands on that goroutine.
-	g.p.FaaS.InvokeAsyncFor(tenant, name, payload, func(res faas.Result, err error) {
+	g.p.FaaS.InvokeAsync(faas.Req{Tenant: tenant, Name: name, Payload: payload}, func(res faas.Result, err error) {
 		g.mu.Lock()
 		if inv := g.invs[id]; inv != nil {
 			inv.done, inv.res, inv.err = true, res, err
@@ -341,7 +341,7 @@ func (g *Gateway) handleInvokeAsync(w http.ResponseWriter, r *http.Request, tena
 type InvocationStatus struct {
 	ID        string     `json:"id"`
 	Function  string     `json:"function"`
-	Status    string     `json:"status"` // pending | succeeded | failed
+	Status    string     `json:"status"`           // pending | succeeded | failed
 	Output    []byte     `json:"output,omitempty"` // base64 in JSON
 	Error     *ErrorBody `json:"error,omitempty"`
 	Cold      bool       `json:"cold,omitempty"`

@@ -183,7 +183,7 @@ func Run(p *faas.Platform, ns *jiffy.Namespace, g *Graph, prog VertexProgram, cf
 				Step      int `json:"step"`
 			}{q, step})
 			wg.Add(1)
-			p.InvokeAsync(fnName, payload, func(res faas.Result, err error) {
+			p.InvokeAsync(faas.Req{Name: fnName, Payload: payload}, func(res faas.Result, err error) {
 				mu.Lock()
 				if err != nil && firstErr == nil {
 					firstErr = err

@@ -25,18 +25,6 @@ func (c *Controller) NodeIDs() []string {
 	return out
 }
 
-// Node returns a registered memory node by id.
-func (c *Controller) Node(id string) (*MemoryNode, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, n := range c.nodes {
-		if n.ID == id {
-			return n, true
-		}
-	}
-	return nil, false
-}
-
 // CrashNode fail-stops a memory node: its block storage vanishes from the
 // pool. Every block group that held a replica there is repaired — surviving
 // replicas adopt a slot on a fresh live node (restoring the namespace's

@@ -150,7 +150,7 @@ func MulBlocked(p *faas.Platform, ns *jiffy.Namespace, a, b Matrix, cfg Serverle
 		for j := 0; j < bCT; j++ {
 			payload, _ := json.Marshal(struct{ I, J, K int }{i, j, aCT})
 			wg.Add(1)
-			p.InvokeAsync(fnName, payload, func(_ faas.Result, err error) {
+			p.InvokeAsync(faas.Req{Name: fnName, Payload: payload}, func(_ faas.Result, err error) {
 				mu.Lock()
 				if err != nil && firstErr == nil {
 					firstErr = err
@@ -256,7 +256,7 @@ func StrassenServerless(p *faas.Platform, ns *jiffy.Namespace, a, b Matrix, cuto
 	for i := 0; i < 7; i++ {
 		payload, _ := json.Marshal(struct{ I int }{i})
 		wg.Add(1)
-		p.InvokeAsync(fnName, payload, func(_ faas.Result, err error) {
+		p.InvokeAsync(faas.Req{Name: fnName, Payload: payload}, func(_ faas.Result, err error) {
 			mu.Lock()
 			if err != nil && firstErr == nil {
 				firstErr = err

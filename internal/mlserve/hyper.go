@@ -107,7 +107,7 @@ func GridSearch(p *faas.Platform, train, val Dataset, cfg HyperConfig) (HyperRep
 		for _, tr := range grid {
 			payload, _ := json.Marshal(tr)
 			wg.Add(1)
-			p.InvokeAsync(fnName, payload, func(res faas.Result, err error) {
+			p.InvokeAsync(faas.Req{Name: fnName, Payload: payload}, func(res faas.Result, err error) {
 				if out := collect(res, err); out != nil {
 					mu.Lock()
 					rep.Trials = append(rep.Trials, *out)
@@ -120,7 +120,7 @@ func GridSearch(p *faas.Platform, train, val Dataset, cfg HyperConfig) (HyperRep
 	} else {
 		for _, tr := range grid {
 			payload, _ := json.Marshal(tr)
-			res, err := p.Invoke(fnName, payload)
+			res, err := p.Invoke(faas.Req{Name: fnName, Payload: payload})
 			if out := collect(res, err); out != nil {
 				rep.Trials = append(rep.Trials, *out)
 			}

@@ -144,7 +144,7 @@ func TrainDistributed(p *faas.Platform, ds Dataset, cfg TrainConfig) (TrainRepor
 		for wkr := 0; wkr < cfg.Workers; wkr++ {
 			payload, _ := json.Marshal(struct{ Shard int }{wkr})
 			wg.Add(1)
-			p.InvokeAsync(fnName, payload, func(_ faas.Result, err error) {
+			p.InvokeAsync(faas.Req{Name: fnName, Payload: payload}, func(_ faas.Result, err error) {
 				mu.Lock()
 				if err != nil && firstErr == nil {
 					firstErr = err

@@ -36,11 +36,10 @@ func TestNilSafety(t *testing.T) {
 	if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
-	sp := r.Tracer().StartSpan("root")
-	sp.SetAttr("k", "v")
-	child := sp.StartChild("child")
+	sp := r.Tracer().Start(TraceCtx{}, "root")
+	child := r.Tracer().Start(sp.Ctx(), "child")
 	child.End()
-	sp.End()
+	sp.EndAttrs(false, []Attr{{Key: "k", Value: "v"}})
 	if spans := r.Tracer().Spans(); spans != nil {
 		t.Fatalf("nil tracer returned spans")
 	}
@@ -137,12 +136,11 @@ func TestTracerVirtualClockDeterministic(t *testing.T) {
 		defer v.Close()
 		r := New(v)
 		v.Run(func() {
-			root := r.Tracer().StartSpan("exec")
+			root := r.Tracer().Start(TraceCtx{}, "exec")
 			v.Sleep(10 * time.Millisecond)
-			child := root.StartChild("step")
-			child.SetAttr("target", "fn")
+			child := r.Tracer().Start(root.Ctx(), "step")
 			v.Sleep(30 * time.Millisecond)
-			child.End()
+			child.EndAttrs(false, []Attr{{Key: "target", Value: "fn"}})
 			root.End()
 		})
 		return r.Tracer().Spans()
@@ -173,7 +171,7 @@ func TestTracerSpanCap(t *testing.T) {
 	tr := r.Tracer()
 	tr.SetMaxSpans(10)
 	for i := 0; i < 25; i++ {
-		tr.StartSpan("s").End()
+		tr.Start(TraceCtx{}, "s").End()
 	}
 	if got := len(tr.Spans()); got != 10 {
 		t.Fatalf("retained %d spans, want 10", got)
@@ -228,7 +226,7 @@ func TestPrometheusAndJSONExport(t *testing.T) {
 func TestHTTPHandler(t *testing.T) {
 	r := New(nil)
 	r.Counter("hits").Inc()
-	r.Tracer().StartSpan("root").End()
+	r.Tracer().Start(TraceCtx{}, "root").End()
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 

@@ -591,14 +591,3 @@ func (r *Registry) CounterValue(name string) int64 {
 	r.mu.RUnlock()
 	return c.Value()
 }
-
-// HistogramSnapshotOf is a convenience lookup (zero value if absent).
-func (r *Registry) HistogramSnapshotOf(name string) HistogramSnapshot {
-	if r == nil {
-		return HistogramSnapshot{}
-	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	return h.Snapshot()
-}

@@ -167,28 +167,29 @@ func (t *Trace) add(at time.Time, kind, detail string) {
 }
 
 type execCtx struct {
-	trace *Trace
-	depth int
-	span  *obs.Span // current parent span; nil when tracing is off
+	trace  *Trace
+	depth  int
+	tracer *obs.Tracer
+	span   obs.SpanRef // current parent span; inert when tracing is off
 }
 
 // childCtx opens a child span named prefix+name under the execution's
 // current span and returns a derived context carrying it. With tracing off
-// (nil span, or the tracer's retention buffer full) both returns are no-ops /
-// the receiver itself, and the name is never materialized — hot paths pay no
-// concat allocation.
-func (ec *execCtx) childCtx(prefix, name string) (*obs.Span, *execCtx) {
-	if ec.span == nil {
-		return nil, ec
+// (inert span, or the tracer's retention buffer full) the span is inert and
+// the context is the receiver itself, and the name is never materialized —
+// hot paths pay no concat allocation.
+func (ec *execCtx) childCtx(prefix, name string) (obs.SpanRef, *execCtx) {
+	if !ec.span.Active() {
+		return obs.SpanRef{}, ec
 	}
 	if prefix != "" {
 		name = prefix + name
 	}
-	sp := ec.span.StartChild(name)
-	if sp == nil {
-		return nil, ec
+	sp := ec.tracer.Start(ec.span.Ctx(), name)
+	if !sp.Active() {
+		return sp, ec
 	}
-	return sp, &execCtx{trace: ec.trace, depth: ec.depth, span: sp}
+	return sp, &execCtx{trace: ec.trace, depth: ec.depth, tracer: ec.tracer, span: sp}
 }
 
 // Engine interprets state machines against a FaaS platform.
@@ -234,27 +235,27 @@ func (e *Engine) RegisterComposition(name string, sm State) error {
 // observability attached, the execution forms one trace: a root span plus a
 // child span per step.
 func (e *Engine) Execute(sm State, input []byte) ([]byte, error) {
-	e.obsExecs.Inc()
-	root := e.obs.Tracer().StartSpan("orchestrate.execution")
-	out, err := sm.run(e, &execCtx{span: root}, input)
-	if err != nil {
-		root.SetAttr("error", err.Error())
-	}
-	root.End()
-	return out, err
+	return e.execute(sm, input, nil)
 }
 
 // ExecuteTraced runs a state machine, also returning its execution trace.
 func (e *Engine) ExecuteTraced(sm State, input []byte) ([]byte, *Trace, error) {
-	e.obsExecs.Inc()
 	tr := &Trace{}
-	root := e.obs.Tracer().StartSpan("orchestrate.execution")
-	out, err := sm.run(e, &execCtx{trace: tr, span: root}, input)
-	if err != nil {
-		root.SetAttr("error", err.Error())
-	}
-	root.End()
+	out, err := e.execute(sm, input, tr)
 	return out, tr, err
+}
+
+func (e *Engine) execute(sm State, input []byte, tr *Trace) ([]byte, error) {
+	e.obsExecs.Inc()
+	tracer := e.obs.Tracer()
+	root := tracer.Start(obs.TraceCtx{}, "orchestrate.execution")
+	out, err := sm.run(e, &execCtx{trace: tr, tracer: tracer, span: root}, input)
+	var attrs []obs.Attr
+	if err != nil {
+		attrs = []obs.Attr{{Key: "error", Value: err.Error()}}
+	}
+	root.EndAttrs(err != nil, attrs)
+	return out, err
 }
 
 // --- interpreters ---
@@ -267,7 +268,9 @@ func (s taskState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 
 	e.obsSteps.Inc()
 	sp, ec := ec.childCtx("task:", s.target)
-	defer sp.End()
+	var attrs []obs.Attr
+	failed := false
+	defer func() { sp.EndAttrs(failed, attrs) }()
 
 	var out []byte
 	var err error
@@ -275,7 +278,7 @@ func (s taskState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 	for attempt := 1; attempt <= s.retry.attempts(); attempt++ {
 		if attempt > 1 {
 			ec.trace.add(clock.Now(), "retry", fmt.Sprintf("%s attempt %d", s.target, attempt))
-			sp.SetAttr("retry", fmt.Sprintf("attempt %d", attempt))
+			attrs = append(attrs, obs.Attr{Key: "retry", Value: fmt.Sprintf("attempt %d", attempt)})
 			clock.Sleep(interval)
 			interval = time.Duration(float64(interval) * s.retry.backoff())
 		}
@@ -287,7 +290,7 @@ func (s taskState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 			// invocation (queue, handler, and anything the handler touches)
 			// joins the execution's trace instead of rooting its own.
 			var res faas.Result
-			res, err = e.platform.InvokeTrace(s.target, input, sp.Ctx())
+			res, err = e.platform.Invoke(faas.Req{Name: s.target, Payload: input, Trace: sp.Ctx()})
 			out = res.Output
 			if err != nil && errors.Is(err, faas.ErrNoFunction) {
 				return nil, fmt.Errorf("%w: %q", ErrUnknownTarget, s.target)
@@ -299,11 +302,12 @@ func (s taskState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 	}
 	if s.catch != nil {
 		ec.trace.add(clock.Now(), "catch", s.target)
-		sp.SetAttr("catch", s.target)
+		attrs = append(attrs, obs.Attr{Key: "catch", Value: s.target})
 		return s.catch.run(e, ec, input)
 	}
 	if err != nil {
-		sp.SetAttr("error", err.Error())
+		attrs = append(attrs, obs.Attr{Key: "error", Value: err.Error()})
+		failed = true
 	}
 	return nil, err
 }
@@ -324,10 +328,11 @@ func (s parallelState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error)
 	clock := e.platform.Clock()
 	ec.trace.add(clock.Now(), "parallel", fmt.Sprintf("%d branches", len(s)))
 	sp, ec := ec.childCtx("", "parallel")
-	if sp != nil {
-		sp.SetAttr("branches", fmt.Sprint(len(s)))
+	var attrs []obs.Attr
+	if sp.Active() {
+		attrs = []obs.Attr{{Key: "branches", Value: fmt.Sprint(len(s))}}
 	}
-	defer sp.End()
+	defer sp.EndAttrs(false, attrs)
 	outs := make([]json.RawMessage, len(s))
 	errs := make([]error, len(s))
 	var wg sync.WaitGroup
@@ -354,10 +359,11 @@ func (s choiceState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 		if br.When(input) {
 			ec.trace.add(e.platform.Clock().Now(), "choice", fmt.Sprintf("branch %d", i))
 			sp, ec := ec.childCtx("", "choice")
-			if sp != nil {
-				sp.SetAttr("branch", fmt.Sprint(i))
+			var attrs []obs.Attr
+			if sp.Active() {
+				attrs = []obs.Attr{{Key: "branch", Value: fmt.Sprint(i)}}
 			}
-			defer sp.End()
+			defer sp.EndAttrs(false, attrs)
 			return br.Then.run(e, ec, input)
 		}
 	}
@@ -366,8 +372,7 @@ func (s choiceState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 	}
 	ec.trace.add(e.platform.Clock().Now(), "choice", "default")
 	sp, ec := ec.childCtx("", "choice")
-	sp.SetAttr("branch", "default")
-	defer sp.End()
+	defer sp.EndAttrs(false, []obs.Attr{{Key: "branch", Value: "default"}})
 	return s.fallback.run(e, ec, input)
 }
 
@@ -379,10 +384,11 @@ func (s mapState) run(e *Engine, ec *execCtx, input []byte) ([]byte, error) {
 	clock := e.platform.Clock()
 	ec.trace.add(clock.Now(), "map", fmt.Sprintf("%d items", len(items)))
 	sp, ec := ec.childCtx("", "map")
-	if sp != nil {
-		sp.SetAttr("items", fmt.Sprint(len(items)))
+	var attrs []obs.Attr
+	if sp.Active() {
+		attrs = []obs.Attr{{Key: "items", Value: fmt.Sprint(len(items))}}
 	}
-	defer sp.End()
+	defer sp.EndAttrs(false, attrs)
 	outs := make([]json.RawMessage, len(items))
 	errs := make([]error, len(items))
 	var wg sync.WaitGroup

@@ -264,7 +264,7 @@ func TestNoDoubleBilling(t *testing.T) {
 	// Baseline: invoke the three functions directly.
 	v.Run(func() {
 		for _, f := range []string{"upper", "exclaim", "len"} {
-			if _, err := p.Invoke(f, []byte("hi")); err != nil {
+			if _, err := p.Invoke(faas.Req{Name: f, Payload: []byte("hi")}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -135,10 +135,6 @@ type Broker struct {
 	busyUntil int64
 }
 
-// SetServiceTime overrides this broker's modeled per-message service time
-// (see ClusterConfig.ServiceTime). Zero disables the capacity model.
-func (b *Broker) SetServiceTime(d time.Duration) { atomic.StoreInt64(&b.svcNs, int64(d)) }
-
 // admitService reserves n messages of modeled service capacity and waits
 // (in virtual time) until the reservation completes. FIFO by reservation
 // order: the broker serves one message per ServiceTime, so saturated

@@ -175,7 +175,7 @@ func (p *Platform) Register(name, tenant string, h Handler, cfg Config) error {
 
 // Invoke runs a stateful function synchronously.
 func (p *Platform) Invoke(name string, payload []byte) (faas.Result, error) {
-	return p.faas.Invoke(name, payload)
+	return p.faas.Invoke(faas.Req{Name: name, Payload: payload})
 }
 
 // IsNoKey reports whether err is a state miss.

@@ -174,7 +174,7 @@ func encodeChunked(p *faas.Platform, v Video, cost CostModel, chunks int) (Repor
 		}
 		payload, _ := json.Marshal(struct{ Lo, Hi int }{lo, hi})
 		wg.Add(1)
-		p.InvokeAsync(fnName, payload, func(res faas.Result, err error) {
+		p.InvokeAsync(faas.Req{Name: fnName, Payload: payload}, func(res faas.Result, err error) {
 			mu.Lock()
 			if err != nil && firstErr == nil {
 				firstErr = err
