@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faas"
 	"repro/internal/obs"
+	"repro/internal/pulsar"
 )
 
 // TestWarmInvokeZeroAllocs pins the warm synchronous invoke path at zero
@@ -62,22 +63,22 @@ func TestWarmInvokeZeroAllocs(t *testing.T) {
 // (one 64KB block per ~200 entries) and topic-cache growth; a per-publish
 // message copy or a rebuilt map would blow well past it.
 func TestPublishSyncAtMostOneAlloc(t *testing.T) {
-	p := core.New(core.Options{PulsarBatchMax: 1, PulsarFlushInterval: time.Hour})
+	p := core.New(core.Options{})
 	if err := p.Pulsar.CreateTopic("alloc-gate", 0); err != nil {
 		t.Fatal(err)
 	}
-	prod, err := p.Pulsar.CreateProducer("alloc-gate")
+	prod, err := p.Pulsar.CreateProducer("alloc-gate", pulsar.ProducerOptions{MaxBatch: 1, FlushInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := make([]byte, 256)
 	for i := 0; i < 20000; i++ {
-		if _, err := prod.Send(payload); err != nil {
+		if _, err := prod.Send(pulsar.ProducerMessage{Payload: payload}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got := testing.AllocsPerRun(2000, func() {
-		if _, err := prod.Send(payload); err != nil {
+		if _, err := prod.Send(pulsar.ProducerMessage{Payload: payload}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -203,11 +203,11 @@ func BenchmarkPulsarPublish(b *testing.B) {
 	payload := workload.Payload(256, 1)
 	setup := func(b *testing.B, batch int) *pulsar.Producer {
 		b.Helper()
-		p := core.New(core.Options{PulsarBatchMax: batch, PulsarFlushInterval: time.Hour})
+		p := core.New(core.Options{})
 		if err := p.Pulsar.CreateTopic("bench", 0); err != nil {
 			b.Fatal(err)
 		}
-		prod, err := p.Pulsar.CreateProducer("bench")
+		prod, err := p.Pulsar.CreateProducer("bench", pulsar.ProducerOptions{MaxBatch: batch, FlushInterval: time.Hour})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func BenchmarkPulsarPublish(b *testing.B) {
 		b.SetBytes(256)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := prod.Send(payload); err != nil {
+			if _, err := prod.Send(pulsar.ProducerMessage{Payload: payload}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -229,7 +229,7 @@ func BenchmarkPulsarPublish(b *testing.B) {
 			b.SetBytes(256)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := prod.SendAsync("", payload); err != nil {
+				if err := prod.SendAsync(pulsar.ProducerMessage{Payload: payload}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -282,7 +282,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		{"publish-obs-off", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			p := core.New(core.Options{PulsarBatchMax: 1, PulsarFlushInterval: time.Hour, DisableObs: mode.disable})
+			p := core.New(core.Options{DisableObs: mode.disable})
 			if err := p.Pulsar.CreateTopic("bench", 0); err != nil {
 				b.Fatal(err)
 			}
@@ -293,7 +293,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 			b.SetBytes(256)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := prod.Send(payload); err != nil {
+				if _, err := prod.Send(pulsar.ProducerMessage{Payload: payload}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -697,7 +697,7 @@ func BenchmarkPartitionReassign(b *testing.B) {
 	}
 	payload := workload.Payload(256, 1)
 	for i := 0; i < 10; i++ {
-		if _, err := prod.Send(payload); err != nil {
+		if _, err := prod.Send(pulsar.ProducerMessage{Payload: payload}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -730,14 +730,14 @@ func BenchmarkMultiBrokerPublish(b *testing.B) {
 			b.Fatal(err)
 		}
 		prods[i] = prod
-		if _, err := prod.Send(payload); err != nil { // elect owners up front
+		if _, err := prod.Send(pulsar.ProducerMessage{Payload: payload}); err != nil { // elect owners up front
 			b.Fatal(err)
 		}
 	}
 	b.SetBytes(256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prods[i%topics].Send(payload); err != nil {
+		if _, err := prods[i%topics].Send(pulsar.ProducerMessage{Payload: payload}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -577,7 +577,7 @@ func demoRebalance(p *core.Platform, clock simclock.Clock) {
 	for round := 0; round < 10; round++ {
 		for i, prod := range prods {
 			for n := 0; n < (i+1)*5; n++ {
-				if _, err := prod.Send(payload); err != nil {
+				if _, err := prod.Send(pulsar.ProducerMessage{Payload: payload}); err != nil {
 					log.Fatal(err)
 				}
 			}

@@ -50,7 +50,7 @@ func TestBilledDurationProperties(t *testing.T) {
 func TestAddInvocationGBSeconds(t *testing.T) {
 	m := NewMeter()
 	// 1 second at 1024 MB = exactly 1 GB-second.
-	m.AddInvocation("acme", time.Second, 1024, time.Time{})
+	m.AddInvocation("acme", time.Second, 1024)
 	if got := m.Units("acme", ResInvocationGBs); math.Abs(got-1.0) > 1e-9 {
 		t.Fatalf("GB-seconds = %v, want 1", got)
 	}
@@ -58,7 +58,7 @@ func TestAddInvocationGBSeconds(t *testing.T) {
 		t.Fatalf("requests = %v, want 1", got)
 	}
 	// 50 ms at 512 MB bills as 100 ms × 0.5 GB = 0.05 GB-s.
-	m.AddInvocation("acme", 50*time.Millisecond, 512, time.Time{})
+	m.AddInvocation("acme", 50*time.Millisecond, 512)
 	if got := m.Units("acme", ResInvocationGBs); math.Abs(got-1.05) > 1e-9 {
 		t.Fatalf("GB-seconds = %v, want 1.05", got)
 	}
@@ -66,8 +66,8 @@ func TestAddInvocationGBSeconds(t *testing.T) {
 
 func TestInvoiceTotalsAndOrdering(t *testing.T) {
 	m := NewMeter()
-	m.Add(Record{Tenant: "t", Resource: ResBlobPut, Units: 1000})
-	m.Add(Record{Tenant: "t", Resource: ResBlobGet, Units: 5000})
+	m.Add("t", ResBlobPut, 1000)
+	m.Add("t", ResBlobGet, 5000)
 	p := Pricing{ResBlobGet: 0.001, ResBlobPut: 0.01}
 	inv := m.Invoice("t", p)
 	if len(inv.Lines) != 2 {
@@ -87,16 +87,16 @@ func TestInvoiceTotalsAndOrdering(t *testing.T) {
 
 func TestZeroUnitRecordsDropped(t *testing.T) {
 	m := NewMeter()
-	m.Add(Record{Tenant: "t", Resource: "x", Units: 0})
-	if len(m.Records()) != 0 {
+	m.Add("t", "x", 0)
+	if len(m.Tenants()) != 0 {
 		t.Fatal("zero-unit record retained")
 	}
 }
 
 func TestTenantsSorted(t *testing.T) {
 	m := NewMeter()
-	m.Add(Record{Tenant: "zeta", Resource: "r", Units: 1})
-	m.Add(Record{Tenant: "acme", Resource: "r", Units: 1})
+	m.Add("zeta", "r", 1)
+	m.Add("acme", "r", 1)
 	got := m.Tenants()
 	if len(got) != 2 || got[0] != "acme" || got[1] != "zeta" {
 		t.Fatalf("Tenants = %v", got)
@@ -105,9 +105,9 @@ func TestTenantsSorted(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	m := NewMeter()
-	m.Add(Record{Tenant: "t", Resource: "r", Units: 5})
+	m.Add("t", "r", 5)
 	m.Reset()
-	if m.Units("t", "r") != 0 || len(m.Records()) != 0 {
+	if m.Units("t", "r") != 0 || len(m.Tenants()) != 0 {
 		t.Fatal("Reset did not clear")
 	}
 }
@@ -158,7 +158,7 @@ func TestMeterConcurrentAdds(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < 1000; j++ {
-				m.Add(Record{Tenant: "t", Resource: "r", Units: 1})
+				m.Add("t", "r", 1)
 			}
 		}()
 	}
@@ -171,7 +171,7 @@ func TestMeterConcurrentAdds(t *testing.T) {
 }
 
 // TestMeterConcurrentRecordInvoice hammers the Meter with concurrent writers
-// (Add, AddInvocation) and readers (Invoice, Units, Tenants, Records) — the
+// (Add, AddInvocation) and readers (Invoice, Units, Tenants) — the
 // pattern a live platform produces when the billing surface is scraped while
 // traffic flows. Run under -race this proves the Meter's locking covers every
 // public method, not just Add.
@@ -189,8 +189,8 @@ func TestMeterConcurrentRecordInvoice(t *testing.T) {
 			defer wg.Done()
 			tenant := tenants[i%len(tenants)]
 			for j := 0; j < perWriter; j++ {
-				m.Add(Record{Tenant: tenant, Resource: ResMsgPublish, Units: 1})
-				m.AddInvocation(tenant, 42*time.Millisecond, 128, time.Time{})
+				m.Add(tenant, ResMsgPublish, 1)
+				m.AddInvocation(tenant, 42*time.Millisecond, 128)
 			}
 		}()
 	}
@@ -207,7 +207,6 @@ func TestMeterConcurrentRecordInvoice(t *testing.T) {
 					}
 				}
 				_ = m.Units(tenants[j%len(tenants)], ResInvocationReqs)
-				_ = m.Records()
 			}
 		}()
 	}

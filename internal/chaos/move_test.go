@@ -59,7 +59,7 @@ func runMoveCrash(t *testing.T) moveCrashResult {
 		cons, err := cluster.Subscribe("orders", "app", pulsar.Shared, pulsar.Earliest)
 		must(t, err)
 		for i := 0; i < 10; i++ {
-			_, err := prod.Send([]byte(fmt.Sprintf("m%d", i)))
+			_, err := prod.Send(pulsar.ProducerMessage{Payload: []byte(fmt.Sprintf("m%d", i))})
 			must(t, err)
 		}
 		got := map[int64]pulsar.Message{}
@@ -99,7 +99,7 @@ func runMoveCrash(t *testing.T) moveCrashResult {
 		// The topic is unowned and the destination is still down: the next
 		// publish elects the survivor, recovering the exact cursor.
 		for i := 10; i < 15; i++ {
-			seq, err := prod.Send([]byte(fmt.Sprintf("m%d", i)))
+			seq, err := prod.Send(pulsar.ProducerMessage{Payload: []byte(fmt.Sprintf("m%d", i))})
 			must(t, err)
 			if seq != int64(i) {
 				t.Fatalf("post-crash publish seq = %d, want %d (acked history lost?)", seq, i)
@@ -122,7 +122,7 @@ func runMoveCrash(t *testing.T) moveCrashResult {
 
 		inj.Wait() // broker-1 restarts at 8.333ms
 		must(t, cluster.MoveTopic("orders", "broker-1"))
-		seq, err := prod.Send([]byte("m15"))
+		seq, err := prod.Send(pulsar.ProducerMessage{Payload: []byte("m15")})
 		must(t, err)
 		res.finalSeq = seq
 		m, ok := cons.Receive(time.Second)

@@ -126,7 +126,7 @@ func runSoak(t *testing.T, seed int64) soakResult {
 					[]byte(fmt.Sprintf("L%d-a", i)),
 					[]byte(fmt.Sprintf("L%d-b", i)),
 				}
-				if _, err := w.AppendBatch(batch); err != nil {
+				if _, err := w.Append(obs.TraceCtx{}, batch...); err != nil {
 					t.Errorf("ledger append %d failed under chaos: %v", i, err)
 				} else {
 					mu.Lock()
@@ -179,7 +179,7 @@ func runSoak(t *testing.T, seed int64) soakResult {
 			defer close(prodDone)
 			for i := 0; i < iters; i++ {
 				payload := fmt.Sprintf("m%d", i)
-				if _, err := prod.Send([]byte(payload)); err == nil {
+				if _, err := prod.Send(pulsar.ProducerMessage{Payload: []byte(payload)}); err == nil {
 					mu.Lock()
 					res.pubAcked = append(res.pubAcked, payload)
 					mu.Unlock()

@@ -109,7 +109,7 @@ func (e *Env) Publish(payload []byte) error {
 	if e.prod == nil {
 		return fmt.Errorf("conform: workload has no SinkTopic")
 	}
-	if _, err := e.prod.Send(payload); err != nil {
+	if _, err := e.prod.Send(pulsar.ProducerMessage{Payload: payload}); err != nil {
 		return err
 	}
 	e.Crasher.Boundary("pulsar:publish")

@@ -44,13 +44,6 @@ type Options struct {
 	BlocksPerNode int
 	// JiffyBlockSize is bytes per block. Default 64 KiB.
 	JiffyBlockSize int
-	// PulsarBatchMax is the default producer batch size: how many
-	// SendAsync messages buffer per partition before one group-commit
-	// ledger append. Default 1 (batching off).
-	PulsarBatchMax int
-	// PulsarFlushInterval bounds buffered-message staleness for batching
-	// producers. Default 1ms.
-	PulsarFlushInterval time.Duration
 	// BlobLatency models blob store access. Default blob.S3Latency.
 	BlobLatency blob.LatencyModel
 	// JiffyLatency models ephemeral access. Default jiffy.MemoryLatency.
@@ -150,10 +143,7 @@ func New(opts Options) *Platform {
 	for i := 0; i < opts.Bookies; i++ {
 		ledgers.AddBookie(ledger.NewBookie(fmt.Sprintf("bookie-%d", i)))
 	}
-	cluster := pulsar.NewCluster(clock, meta, ledgers, meter, pulsar.ClusterConfig{
-		BatchMaxMessages:   opts.PulsarBatchMax,
-		BatchFlushInterval: opts.PulsarFlushInterval,
-	})
+	cluster := pulsar.NewCluster(clock, meta, ledgers, meter, pulsar.ClusterConfig{})
 	for i := 0; i < opts.Brokers; i++ {
 		cluster.AddBroker(fmt.Sprintf("broker-%d", i))
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/jiffy"
 	"repro/internal/kvdb"
 	"repro/internal/orchestrate"
+	"repro/internal/pulsar"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -50,7 +51,7 @@ func TestEndToEndPipeline(t *testing.T) {
 			}); err != nil {
 				return nil, err
 			}
-			if _, err := prod.Send([]byte("f1 done")); err != nil {
+			if _, err := prod.Send(pulsar.ProducerMessage{Payload: []byte("f1 done")}); err != nil {
 				return nil, err
 			}
 			return nil, ns.Put("last", payload)

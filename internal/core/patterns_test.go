@@ -176,7 +176,7 @@ func TestPatternBundled(t *testing.T) {
 		// Worker: queue-driven, publishes results to the topic.
 		must(t, p.Tenant("t").Register("worker", func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
 			ctx.Work(10 * time.Millisecond)
-			_, err := prod.Send(payload)
+			_, err := prod.Send(pulsar.ProducerMessage{Payload: payload})
 			return nil, err
 		}, faas.Config{}))
 		must(t, faas.BindQueue(p.FaaS, p.Queue, "work", "worker", 10))

@@ -136,7 +136,7 @@ func runChaosSoak(seed int64) chaosDigest {
 		v.Go(func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < iters; i++ {
-				if _, err := w.Append([]byte(fmt.Sprintf("L%d", i))); err == nil {
+				if _, err := w.Append(obs.TraceCtx{}, []byte(fmt.Sprintf("L%d", i))); err == nil {
 					acked++
 				}
 				v.Sleep(2 * time.Millisecond)
@@ -167,7 +167,7 @@ func runChaosSoak(seed int64) chaosDigest {
 			defer close(prodDone)
 			for i := 0; i < iters; i++ {
 				payload := fmt.Sprintf("m%d", i)
-				if _, err := prod.Send([]byte(payload)); err == nil {
+				if _, err := prod.Send(pulsar.ProducerMessage{Payload: []byte(payload)}); err == nil {
 					pubAcked = append(pubAcked, payload)
 				}
 				v.Sleep(2 * time.Millisecond)

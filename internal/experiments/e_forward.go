@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faas"
 	"repro/internal/ledger"
+	"repro/internal/obs"
 	"repro/internal/scheduler"
 	"repro/internal/simclock"
 )
@@ -137,7 +138,7 @@ func E21TieredStorage() Table {
 		}
 		payload := make([]byte, 512)
 		for i := 0; i < entries; i++ {
-			if _, err := w.Append(payload); err != nil {
+			if _, err := w.Append(obs.TraceCtx{}, payload); err != nil {
 				panic(err)
 			}
 		}

@@ -130,7 +130,7 @@ func E15PulsarDurability() Table {
 		// Phase 1: steady state.
 		pub := 0
 		for i := 0; i < 100; i++ {
-			if _, err := prod.Send([]byte{byte(i)}); err == nil {
+			if _, err := prod.Send(pulsar.ProducerMessage{Payload: []byte{byte(i)}}); err == nil {
 				pub++
 			}
 		}
@@ -145,7 +145,7 @@ func E15PulsarDurability() Table {
 		}
 		pub = 0
 		for i := 0; i < 100; i++ {
-			if _, err := prod.Send([]byte{byte(i)}); err == nil {
+			if _, err := prod.Send(pulsar.ProducerMessage{Payload: []byte{byte(i)}}); err == nil {
 				pub++
 			}
 		}
@@ -158,7 +158,7 @@ func E15PulsarDurability() Table {
 		}
 		pub = 0
 		for i := 0; i < 100; i++ {
-			if _, err := prod.Send([]byte{byte(i)}); err == nil {
+			if _, err := prod.Send(pulsar.ProducerMessage{Payload: []byte{byte(i)}}); err == nil {
 				pub++
 			}
 		}

@@ -159,10 +159,10 @@ type Ctx struct {
 	InstanceID   int64 // identity of the warm instance running this request
 	Attempt      int   // 1-based attempt number under async retry
 	// Trace is the handler span's causal context. Handlers thread it into
-	// downstream trace-aware APIs (pulsar SendTrace, jiffy Traced, a nested
-	// invoke's Req.Trace) so one request is one trace across subsystems. It
-	// is two int64s copied by value — safe to pass onward even though *Ctx
-	// itself is pooled and must not be retained.
+	// downstream trace-aware APIs (a pulsar ProducerMessage.Trace, jiffy
+	// Traced, a nested invoke's Req.Trace) so one request is one trace
+	// across subsystems. It is two int64s copied by value — safe to pass
+	// onward even though *Ctx itself is pooled and must not be retained.
 	Trace obs.TraceCtx
 
 	budget   time.Duration // remaining execution time
@@ -907,7 +907,7 @@ func (p *Platform) invoke(r Req, attempt int) (Result, error) {
 		execDur = time.Millisecond
 	}
 	if p.meter != nil {
-		p.meter.AddInvocation(fn.tenant, execDur, fn.cfg.MemoryMB, end)
+		p.meter.AddInvocation(fn.tenant, execDur, fn.cfg.MemoryMB)
 	}
 
 	// Return the instance to the warm pool (even after handler errors; the

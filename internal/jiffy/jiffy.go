@@ -59,7 +59,6 @@ var (
 	ErrEmptyQueue   = errors.New("jiffy: queue is empty")
 	ErrBadPath      = errors.New("jiffy: malformed namespace path")
 	ErrValueTooBig  = errors.New("jiffy: value exceeds block size")
-	ErrHasChildren  = errors.New("jiffy: namespace has children")
 	ErrMinBlocks    = errors.New("jiffy: cannot scale below one block")
 	ErrNodeDown     = errors.New("jiffy: memory node is down")
 	ErrNoNode       = errors.New("jiffy: memory node does not exist")
@@ -687,12 +686,7 @@ func (c *Controller) freeBlocksLocked(blocks []*block) {
 		c.obsOccupancy.ObserveValue(int64(b.used))
 		if c.meter != nil && len(b.nodes) > 0 {
 			held := now.Sub(b.since).Seconds()
-			c.meter.Add(billing.Record{
-				Tenant:   c.cfg.Tenant,
-				Resource: billing.ResJiffyBlockSecs,
-				Units:    held * float64(len(b.nodes)),
-				At:       now,
-			})
+			c.meter.Add(c.cfg.Tenant, billing.ResJiffyBlockSecs, held*float64(len(b.nodes)))
 		}
 		clear(b.kv)
 		b.used = 0

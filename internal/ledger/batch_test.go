@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/coord"
+	"repro/internal/obs"
 	"repro/internal/simclock"
 )
 
@@ -15,19 +16,19 @@ func TestAppendBatchOrderAndIDs(t *testing.T) {
 	w, err := s.CreateLedger(3, 2, 2)
 	must(t, err)
 	// Mix single appends and batches; ids must stay contiguous.
-	if _, err := w.Append([]byte("solo-0")); err != nil {
+	if _, err := w.Append(obs.TraceCtx{}, []byte("solo-0")); err != nil {
 		t.Fatal(err)
 	}
 	batch := make([][]byte, 5)
 	for i := range batch {
 		batch[i] = []byte(fmt.Sprintf("batch-%d", i))
 	}
-	first, err := w.AppendBatch(batch)
+	first, err := w.Append(obs.TraceCtx{}, batch...)
 	must(t, err)
 	if first != 1 {
 		t.Fatalf("batch first id = %d, want 1", first)
 	}
-	id, err := w.Append([]byte("solo-1"))
+	id, err := w.Append(obs.TraceCtx{}, []byte("solo-1"))
 	must(t, err)
 	if id != 6 {
 		t.Fatalf("post-batch id = %d, want 6", id)
@@ -52,11 +53,11 @@ func TestAppendBatchEmptyAndClosed(t *testing.T) {
 	s := newSystem(3)
 	w, err := s.CreateLedger(3, 2, 2)
 	must(t, err)
-	if first, err := w.AppendBatch(nil); err != nil || first != 0 {
+	if first, err := w.Append(obs.TraceCtx{}); err != nil || first != 0 {
 		t.Fatalf("empty batch = (%d, %v)", first, err)
 	}
 	must(t, w.Close())
-	if _, err := w.AppendBatch([][]byte{[]byte("x")}); !errors.Is(err, ErrWriterClosed) {
+	if _, err := w.Append(obs.TraceCtx{}, []byte("x")); !errors.Is(err, ErrWriterClosed) {
 		t.Fatalf("err = %v, want ErrWriterClosed", err)
 	}
 }
@@ -79,7 +80,7 @@ func TestAppendBatchGroupCommitLatency(t *testing.T) {
 		for i := range batch {
 			batch[i] = []byte("x")
 		}
-		if _, err := w.AppendBatch(batch); err != nil {
+		if _, err := w.Append(obs.TraceCtx{}, batch...); err != nil {
 			t.Error(err)
 			return
 		}
@@ -88,7 +89,7 @@ func TestAppendBatchGroupCommitLatency(t *testing.T) {
 		}
 		start = v.Now()
 		for i := 0; i < 10; i++ {
-			if _, err := w.Append([]byte("y")); err != nil {
+			if _, err := w.Append(obs.TraceCtx{}, []byte("y")); err != nil {
 				t.Error(err)
 				return
 			}
@@ -105,7 +106,7 @@ func TestAppendBatchQuorumLoss(t *testing.T) {
 	must(t, err)
 	b, _ := s.Bookie("bookie-1")
 	b.SetDown(true)
-	if _, err := w.AppendBatch([][]byte{[]byte("a"), []byte("b")}); !errors.Is(err, ErrQuorumLost) {
+	if _, err := w.Append(obs.TraceCtx{}, []byte("a"), []byte("b")); !errors.Is(err, ErrQuorumLost) {
 		t.Fatalf("err = %v, want ErrQuorumLost", err)
 	}
 }
@@ -118,7 +119,7 @@ func TestBookieSharesEntryBuffer(t *testing.T) {
 	w, err := s.CreateLedger(3, 3, 3)
 	must(t, err)
 	data := []byte("immutable")
-	id, err := w.Append(data)
+	id, err := w.Append(obs.TraceCtx{}, data)
 	must(t, err)
 	var bufs [][]byte
 	for i := 0; i < 3; i++ {

@@ -31,7 +31,6 @@ import (
 var (
 	ErrNoLedger     = errors.New("ledger: ledger does not exist")
 	ErrNoEntry      = errors.New("ledger: entry does not exist")
-	ErrClosed       = errors.New("ledger: ledger is closed")
 	ErrNotClosed    = errors.New("ledger: ledger is still open")
 	ErrFenced       = errors.New("ledger: ledger is fenced")
 	ErrBookieDown   = errors.New("ledger: bookie is down")
@@ -207,7 +206,7 @@ type System struct {
 	clock simclock.Clock
 	meta  *coord.Store
 
-	// AppendLatency is the modelled durability cost paid by each Append.
+	// AppendLatency is the modelled durability cost paid once per Append.
 	AppendLatency time.Duration
 	// ReadLatency is the modelled bookie RPC cost paid by each Read.
 	ReadLatency time.Duration
@@ -317,20 +316,28 @@ func (s *System) CreateLedger(ensembleSize, writeQuorum, ackQuorum int) (*Writer
 // ID returns the ledger's id.
 func (w *Writer) ID() int64 { return w.ledgerID }
 
-// Append writes data as the next entry, returning its entry id once
-// ackQuorum bookies have it. The writer retains data without copying (see
-// the Bookie immutability contract): do not mutate it after the call.
-func (w *Writer) Append(data []byte) (int64, error) {
-	return w.AppendCtx(data, obs.TraceCtx{})
-}
-
-// AppendCtx is Append carrying the caller's causal context: a valid tc adds
-// a "ledger.append" span (covering the durability round trip and quorum
-// replication) to the caller's trace. A zero tc traces nothing — untraced
+// Append writes entries as the ledger's next entries in one group commit:
+// the modelled AppendLatency — the durability round trip — is paid once for
+// the whole call instead of once per entry, while each entry still
+// replicates to its write quorum. It returns the entry id assigned to
+// entries[0]; later entries get consecutive ids. Entries commit in order;
+// if one fails to reach its ack quorum the call stops there and returns the
+// error, and the earlier entries stay committed (callers needing atomicity
+// must treat the whole call as failed and rely on recovery semantics, as
+// the broker does). The writer retains every entry without copying (see the
+// Bookie immutability contract): do not mutate them after the call.
+//
+// A valid tc adds one "ledger.append" span covering the round trip and
+// quorum replication; a batch aggregates many requests, so by convention tc
+// is the first traced entry's context. A zero tc traces nothing — untraced
 // appends cost one branch, not a span.
-func (w *Writer) AppendCtx(data []byte, tc obs.TraceCtx) (int64, error) {
+func (w *Writer) Append(tc obs.TraceCtx, entries ...[]byte) (int64, error) {
 	if w.closed {
 		return 0, ErrWriterClosed
+	}
+	first := w.next
+	if len(entries) == 0 {
+		return first, nil
 	}
 	var span obs.SpanRef
 	if tc.Valid() {
@@ -341,59 +348,10 @@ func (w *Writer) AppendCtx(data []byte, tc obs.TraceCtx) (int64, error) {
 		start = w.sys.clock.Now()
 	}
 	w.sys.clock.Sleep(w.sys.AppendLatency + w.stragglerExtra())
-	entryID := w.next
-	if err := w.replicate(entryID, data); err != nil {
-		span.EndErr(true)
-		return 0, err
-	}
-	w.next++
-	w.sys.obsAppends.Inc()
-	w.sys.obsFanIn.ObserveValue(1)
-	if !start.IsZero() {
-		w.sys.obsAppendLat.Observe(w.sys.clock.Now().Sub(start))
-	}
-	span.End()
-	return entryID, nil
-}
-
-// AppendBatch writes entries as one group commit: the modelled
-// AppendLatency — the durability round trip — is paid once for the whole
-// batch instead of once per entry, while each entry still replicates to its
-// write quorum. It returns the entry id assigned to entries[0]; subsequent
-// entries get consecutive ids. Entries commit in order; if one fails to
-// reach its ack quorum the batch stops there, the error is returned, and the
-// earlier entries of the batch stay committed (callers needing atomicity
-// must treat the whole batch as failed and rely on recovery semantics, as
-// the broker does). Entries are retained without copying, like Append.
-func (w *Writer) AppendBatch(entries [][]byte) (int64, error) {
-	return w.AppendBatchCtx(entries, obs.TraceCtx{})
-}
-
-// AppendBatchCtx is AppendBatch carrying a causal context for the group
-// commit. Batches aggregate entries from many requests, so the span is
-// coarse: it parents on tc (by convention the first traced entry in the
-// batch) and annotates nothing per-entry.
-func (w *Writer) AppendBatchCtx(entries [][]byte, tc obs.TraceCtx) (int64, error) {
-	if w.closed {
-		return 0, ErrWriterClosed
-	}
-	first := w.next
-	if len(entries) == 0 {
-		return first, nil
-	}
-	var span obs.SpanRef
-	if tc.Valid() {
-		span = w.sys.tracer.Start(tc, "ledger.append.batch")
-	}
-	var start time.Time
-	if w.sys.obsAppendLat != nil {
-		start = w.sys.clock.Now()
-	}
-	w.sys.clock.Sleep(w.sys.AppendLatency + w.stragglerExtra())
 	for _, data := range entries {
 		if err := w.replicate(w.next, data); err != nil {
 			span.EndErr(true)
-			return first, err
+			return 0, err
 		}
 		w.next++
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/coord"
+	"repro/internal/obs"
 	"repro/internal/simclock"
 )
 
@@ -24,7 +25,7 @@ func TestAppendCloseRead(t *testing.T) {
 	w, err := s.CreateLedger(3, 2, 2)
 	must(t, err)
 	for i := 0; i < 10; i++ {
-		id, err := w.Append([]byte(fmt.Sprintf("entry-%d", i)))
+		id, err := w.Append(obs.TraceCtx{}, []byte(fmt.Sprintf("entry-%d", i)))
 		must(t, err)
 		if id != int64(i) {
 			t.Fatalf("entry id = %d, want %d", id, i)
@@ -49,7 +50,7 @@ func TestSingleWriterAppendAfterClose(t *testing.T) {
 	s := newSystem(3)
 	w, _ := s.CreateLedger(3, 2, 1)
 	must(t, w.Close())
-	if _, err := w.Append([]byte("x")); !errors.Is(err, ErrWriterClosed) {
+	if _, err := w.Append(obs.TraceCtx{}, []byte("x")); !errors.Is(err, ErrWriterClosed) {
 		t.Fatalf("err = %v", err)
 	}
 	if err := w.Close(); !errors.Is(err, ErrWriterClosed) {
@@ -81,7 +82,7 @@ func TestReadSurvivesBookieFailure(t *testing.T) {
 	s := newSystem(3)
 	w, _ := s.CreateLedger(3, 2, 2)
 	for i := 0; i < 6; i++ {
-		_, err := w.Append([]byte(fmt.Sprintf("e%d", i)))
+		_, err := w.Append(obs.TraceCtx{}, []byte(fmt.Sprintf("e%d", i)))
 		must(t, err)
 	}
 	must(t, w.Close())
@@ -102,14 +103,14 @@ func TestReadSurvivesBookieFailure(t *testing.T) {
 func TestAppendFailsWithoutAckQuorum(t *testing.T) {
 	s := newSystem(3)
 	w, _ := s.CreateLedger(3, 2, 2)
-	_, err := w.Append([]byte("ok"))
+	_, err := w.Append(obs.TraceCtx{}, []byte("ok"))
 	must(t, err)
 	// Down two bookies: at most one replica can be written.
 	for i := 0; i < 2; i++ {
 		b, _ := s.Bookie(fmt.Sprintf("bookie-%d", i))
 		b.SetDown(true)
 	}
-	if _, err := w.Append([]byte("fail")); !errors.Is(err, ErrQuorumLost) {
+	if _, err := w.Append(obs.TraceCtx{}, []byte("fail")); !errors.Is(err, ErrQuorumLost) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -118,7 +119,7 @@ func TestRecoveryFencesAndSeals(t *testing.T) {
 	s := newSystem(3)
 	w, _ := s.CreateLedger(3, 3, 2)
 	for i := 0; i < 5; i++ {
-		_, err := w.Append([]byte(fmt.Sprintf("e%d", i)))
+		_, err := w.Append(obs.TraceCtx{}, []byte(fmt.Sprintf("e%d", i)))
 		must(t, err)
 	}
 	// Writer "crashes" (no Close). A new client recovers the ledger.
@@ -128,7 +129,7 @@ func TestRecoveryFencesAndSeals(t *testing.T) {
 		t.Fatalf("recovered LastEntry = %d, want 4", r.LastEntry())
 	}
 	// The zombie writer must be fenced out.
-	if _, err := w.Append([]byte("zombie")); !errors.Is(err, ErrFenced) {
+	if _, err := w.Append(obs.TraceCtx{}, []byte("zombie")); !errors.Is(err, ErrFenced) {
 		t.Fatalf("zombie append err = %v", err)
 	}
 	// Recovery of an already-closed ledger is a plain open.
@@ -155,7 +156,7 @@ func TestRecoverEmptyLedger(t *testing.T) {
 func TestDeleteLedger(t *testing.T) {
 	s := newSystem(3)
 	w, _ := s.CreateLedger(3, 3, 2)
-	_, err := w.Append([]byte("x"))
+	_, err := w.Append(obs.TraceCtx{}, []byte("x"))
 	must(t, err)
 	must(t, w.Close())
 	total := 0
@@ -185,7 +186,7 @@ func TestStripingDistributesEntries(t *testing.T) {
 	s := newSystem(3)
 	w, _ := s.CreateLedger(3, 2, 2)
 	for i := 0; i < 30; i++ {
-		_, err := w.Append([]byte("x"))
+		_, err := w.Append(obs.TraceCtx{}, []byte("x"))
 		must(t, err)
 	}
 	must(t, w.Close())
@@ -210,7 +211,7 @@ func TestAppendLatencyOnVirtualClock(t *testing.T) {
 		w, err := s.CreateLedger(3, 2, 2)
 		must(t, err)
 		for i := 0; i < 10; i++ {
-			_, err := w.Append([]byte("x"))
+			_, err := w.Append(obs.TraceCtx{}, []byte("x"))
 			must(t, err)
 		}
 	})
@@ -231,7 +232,7 @@ func TestPropertyAckedEntriesSurviveRecovery(t *testing.T) {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			if _, err := w.Append([]byte(fmt.Sprintf("e%d", i))); err != nil {
+			if _, err := w.Append(obs.TraceCtx{}, []byte(fmt.Sprintf("e%d", i))); err != nil {
 				return false
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/blob"
+	"repro/internal/obs"
 	"repro/internal/simclock"
 )
 
@@ -24,7 +25,7 @@ func TestOffloadMovesEntriesToColdTier(t *testing.T) {
 	w, err := s.CreateLedger(3, 2, 2)
 	must(t, err)
 	for i := 0; i < 8; i++ {
-		_, err := w.Append([]byte(fmt.Sprintf("e%d", i)))
+		_, err := w.Append(obs.TraceCtx{}, []byte(fmt.Sprintf("e%d", i)))
 		must(t, err)
 	}
 	must(t, w.Close())
@@ -66,7 +67,7 @@ func TestOffloadRequiresClosed(t *testing.T) {
 func TestOpenTieredOnHotLedger(t *testing.T) {
 	s, store := tieredSystem(t)
 	w, _ := s.CreateLedger(3, 2, 2)
-	_, err := w.Append([]byte("hot"))
+	_, err := w.Append(obs.TraceCtx{}, []byte("hot"))
 	must(t, err)
 	must(t, w.Close())
 	r, err := s.OpenTiered(w.ID(), store)
@@ -83,7 +84,7 @@ func TestOffloadSurvivesAllBookiesDown(t *testing.T) {
 	// depends on the bookie ensemble at all.
 	s, store := tieredSystem(t)
 	w, _ := s.CreateLedger(3, 2, 2)
-	_, err := w.Append([]byte("precious"))
+	_, err := w.Append(obs.TraceCtx{}, []byte("precious"))
 	must(t, err)
 	must(t, w.Close())
 	must(t, s.Offload(w.ID(), store, "tier"))
@@ -116,7 +117,7 @@ func TestOffloadUnknownLedger(t *testing.T) {
 func TestRecoverWithNoReachableBookies(t *testing.T) {
 	s := newSystem(3)
 	w, _ := s.CreateLedger(3, 2, 2)
-	_, err := w.Append([]byte("x"))
+	_, err := w.Append(obs.TraceCtx{}, []byte("x"))
 	must(t, err)
 	for i := 0; i < 3; i++ {
 		b, _ := s.Bookie(fmt.Sprintf("bookie-%d", i))
@@ -130,7 +131,7 @@ func TestRecoverWithNoReachableBookies(t *testing.T) {
 func TestDeleteAfterOffloadRemovesMetadata(t *testing.T) {
 	s, store := tieredSystem(t)
 	w, _ := s.CreateLedger(3, 2, 2)
-	_, err := w.Append([]byte("x"))
+	_, err := w.Append(obs.TraceCtx{}, []byte("x"))
 	must(t, err)
 	must(t, w.Close())
 	must(t, s.Offload(w.ID(), store, "tier"))
@@ -144,7 +145,7 @@ func TestOffloadIdempotentMetadata(t *testing.T) {
 	// Offloading twice re-uploads but must not corrupt reads.
 	s, store := tieredSystem(t)
 	w, _ := s.CreateLedger(3, 2, 2)
-	_, err := w.Append([]byte("once"))
+	_, err := w.Append(obs.TraceCtx{}, []byte("once"))
 	must(t, err)
 	must(t, w.Close())
 	must(t, s.Offload(w.ID(), store, "tier"))

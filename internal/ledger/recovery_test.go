@@ -31,14 +31,14 @@ func TestEnsembleChangeOnBookieCrash(t *testing.T) {
 		w, err = s.CreateLedger(3, 2, 2)
 		must(t, err)
 		for i := 0; i < 8; i++ {
-			_, err := w.Append([]byte(fmt.Sprintf("pre-%d", i)))
+			_, err := w.Append(obs.TraceCtx{}, []byte(fmt.Sprintf("pre-%d", i)))
 			must(t, err)
 		}
 		// Crash an ensemble member; the next append must still commit.
 		b, _ := s.Bookie(w.meta.Ensemble[1])
 		b.SetDown(true)
 		for i := 0; i < 8; i++ {
-			if _, err := w.Append([]byte(fmt.Sprintf("post-%d", i))); err != nil {
+			if _, err := w.Append(obs.TraceCtx{}, []byte(fmt.Sprintf("post-%d", i))); err != nil {
 				t.Errorf("append after crash: %v", err)
 				return
 			}
@@ -82,13 +82,13 @@ func TestEnsembleChangeMidBatch(t *testing.T) {
 	v.Run(func() {
 		w, err := s.CreateLedger(3, 3, 2)
 		must(t, err)
-		if _, err := w.AppendBatch([][]byte{[]byte("a"), []byte("b")}); err != nil {
+		if _, err := w.Append(obs.TraceCtx{}, []byte("a"), []byte("b")); err != nil {
 			t.Error(err)
 			return
 		}
 		b, _ := s.Bookie(w.meta.Ensemble[0])
 		b.SetDown(true)
-		if _, err := w.AppendBatch([][]byte{[]byte("c"), []byte("d")}); err != nil {
+		if _, err := w.Append(obs.TraceCtx{}, []byte("c"), []byte("d")); err != nil {
 			t.Errorf("batch after crash: %v", err)
 			return
 		}
@@ -113,7 +113,7 @@ func TestEnsembleChangeExhaustsSpares(t *testing.T) {
 		b, _ := s.Bookie(fmt.Sprintf("bookie-%d", i))
 		b.SetDown(true)
 	}
-	if _, err := w.Append([]byte("x")); !errors.Is(err, ErrQuorumLost) {
+	if _, err := w.Append(obs.TraceCtx{}, []byte("x")); !errors.Is(err, ErrQuorumLost) {
 		t.Fatalf("err = %v, want ErrQuorumLost", err)
 	}
 }
@@ -127,7 +127,7 @@ func TestDropNextAbsorbedByRetry(t *testing.T) {
 	b, _ := s.Bookie(w.meta.Ensemble[0])
 	b.DropNext(1)
 	before := append([]string(nil), w.meta.Ensemble...)
-	if _, err := w.Append([]byte("x")); err != nil {
+	if _, err := w.Append(obs.TraceCtx{}, []byte("x")); err != nil {
 		t.Fatalf("append with one drop: %v", err)
 	}
 	for i, id := range w.meta.Ensemble {
@@ -152,7 +152,7 @@ func TestSetSlowGatesAppend(t *testing.T) {
 		b, _ := s.Bookie(w.meta.Ensemble[0])
 		b.SetSlow(5 * time.Millisecond)
 		start := v.Now()
-		if _, err := w.Append([]byte("x")); err != nil {
+		if _, err := w.Append(obs.TraceCtx{}, []byte("x")); err != nil {
 			t.Error(err)
 			return
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/billing"
+	"repro/internal/obs"
 )
 
 // TestSendAsyncFlushesAtMaxBatch: messages stay buffered until the batch
@@ -14,16 +15,16 @@ func TestSendAsyncFlushesAtMaxBatch(t *testing.T) {
 	e := newEnv(t, 1, 3)
 	e.v.Run(func() {
 		must(t, e.cluster.CreateTopic("t", 0))
-		prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 3, FlushInterval: time.Hour})
+		prod, err := e.cluster.CreateProducer("t", ProducerOptions{MaxBatch: 3, FlushInterval: time.Hour})
 		must(t, err)
 		cons, err := e.cluster.Subscribe("t", "s", Exclusive, Earliest)
 		must(t, err)
-		must(t, prod.SendAsync("", []byte("a")))
-		must(t, prod.SendAsync("", []byte("b")))
+		must(t, prod.SendAsync(ProducerMessage{Payload: []byte("a")}))
+		must(t, prod.SendAsync(ProducerMessage{Payload: []byte("b")}))
 		if _, ok := cons.TryReceive(); ok {
 			t.Error("message delivered before the batch filled")
 		}
-		must(t, prod.SendAsync("", []byte("c"))) // fills the batch
+		must(t, prod.SendAsync(ProducerMessage{Payload: []byte("c")})) // fills the batch
 		for i, want := range []string{"a", "b", "c"} {
 			m, ok := cons.Receive(time.Second)
 			if !ok || string(m.Payload) != want || m.Seq != int64(i) {
@@ -39,13 +40,13 @@ func TestSendAsyncFlushInterval(t *testing.T) {
 	e := newEnv(t, 1, 3)
 	e.v.Run(func() {
 		must(t, e.cluster.CreateTopic("t", 0))
-		prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 100, FlushInterval: 5 * time.Millisecond})
+		prod, err := e.cluster.CreateProducer("t", ProducerOptions{MaxBatch: 100, FlushInterval: 5 * time.Millisecond})
 		must(t, err)
 		cons, err := e.cluster.Subscribe("t", "s", Exclusive, Earliest)
 		must(t, err)
-		must(t, prod.SendAsync("", []byte("a")))
+		must(t, prod.SendAsync(ProducerMessage{Payload: []byte("a")}))
 		e.v.Sleep(10 * time.Millisecond)
-		must(t, prod.SendAsync("", []byte("b"))) // stale batch → flush both
+		must(t, prod.SendAsync(ProducerMessage{Payload: []byte("b")})) // stale batch → flush both
 		for i, want := range []string{"a", "b"} {
 			m, ok := cons.Receive(time.Second)
 			if !ok || string(m.Payload) != want {
@@ -61,13 +62,13 @@ func TestSendKeyFlushesBufferedFirst(t *testing.T) {
 	e := newEnv(t, 1, 3)
 	e.v.Run(func() {
 		must(t, e.cluster.CreateTopic("t", 0))
-		prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 100, FlushInterval: time.Hour})
+		prod, err := e.cluster.CreateProducer("t", ProducerOptions{MaxBatch: 100, FlushInterval: time.Hour})
 		must(t, err)
 		cons, err := e.cluster.Subscribe("t", "s", Exclusive, Earliest)
 		must(t, err)
-		must(t, prod.SendAsync("", []byte("async-0")))
-		must(t, prod.SendAsync("", []byte("async-1")))
-		seq, err := prod.Send([]byte("sync"))
+		must(t, prod.SendAsync(ProducerMessage{Payload: []byte("async-0")}))
+		must(t, prod.SendAsync(ProducerMessage{Payload: []byte("async-1")}))
+		seq, err := prod.Send(ProducerMessage{Payload: []byte("sync")})
 		must(t, err)
 		if seq != 2 {
 			t.Errorf("sync seq = %d, want 2 (after the buffered pair)", seq)
@@ -87,10 +88,10 @@ func TestBatchedPublishIsMeteredPerMessage(t *testing.T) {
 	e := newEnv(t, 1, 3)
 	e.v.Run(func() {
 		must(t, e.cluster.CreateTopic("t", 0))
-		prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 4, FlushInterval: time.Hour})
+		prod, err := e.cluster.CreateProducer("t", ProducerOptions{MaxBatch: 4, FlushInterval: time.Hour})
 		must(t, err)
 		for i := 0; i < 4; i++ {
-			must(t, prod.SendAsync("", []byte("x")))
+			must(t, prod.SendAsync(ProducerMessage{Payload: []byte("x")}))
 		}
 		must(t, prod.Flush())
 	})
@@ -105,7 +106,7 @@ func TestBatchedPartitionedPerKeyRouting(t *testing.T) {
 	e := newEnv(t, 2, 3)
 	e.v.Run(func() {
 		must(t, e.cluster.CreateTopic("pt", 4))
-		prod, err := e.cluster.CreateProducerOpts("pt", ProducerOptions{MaxBatch: 64, FlushInterval: time.Hour})
+		prod, err := e.cluster.CreateProducer("pt", ProducerOptions{MaxBatch: 64, FlushInterval: time.Hour})
 		must(t, err)
 		cons, err := e.cluster.Subscribe("pt", "s", KeyShared, Earliest)
 		must(t, err)
@@ -113,7 +114,7 @@ func TestBatchedPartitionedPerKeyRouting(t *testing.T) {
 		const perKey = 6
 		for j := 0; j < perKey; j++ {
 			for k := 0; k < keys; k++ {
-				must(t, prod.SendAsync(fmt.Sprintf("key-%d", k), []byte(fmt.Sprintf("%d", j))))
+				must(t, prod.SendAsync(ProducerMessage{Key: fmt.Sprintf("key-%d", k), Payload: []byte(fmt.Sprintf("%d", j))}))
 			}
 		}
 		must(t, prod.Flush())
@@ -136,4 +137,79 @@ func TestBatchedPartitionedPerKeyRouting(t *testing.T) {
 			t.Errorf("saw %d keys, want %d", len(last), keys)
 		}
 	})
+}
+
+// TestTracedBatchedPublishSpans: a flushed batch whose first message is
+// untraced records one "ledger.append" span, parented on the first *traced*
+// message, and one "pulsar.deliver" per traced message, each parented on
+// that message's own context; a batch records no "pulsar.publish" span.
+// pulsar.publish.batch.size observes each flushed batch once and never a
+// synchronous Send.
+func TestTracedBatchedPublishSpans(t *testing.T) {
+	e := newEnv(t, 1, 3)
+	reg := obs.New(e.v)
+	e.cluster.SetObs(reg)
+	e.ledgers.SetObs(reg)
+	tr := reg.Tracer()
+	batchSize := reg.ValueHistogram("pulsar.publish.batch.size")
+	const traced = 4
+	var roots []obs.SpanRef
+	e.v.Run(func() {
+		must(t, e.cluster.CreateTopic("t", 0))
+		prod, err := e.cluster.CreateProducer("t", ProducerOptions{MaxBatch: 100, FlushInterval: time.Hour})
+		must(t, err)
+		cons, err := e.cluster.Subscribe("t", "s", Exclusive, Earliest)
+		must(t, err)
+		must(t, prod.SendAsync(ProducerMessage{Payload: []byte("untraced")}))
+		for i := 0; i < traced; i++ {
+			root := tr.Start(obs.TraceCtx{}, "req")
+			roots = append(roots, root)
+			must(t, prod.SendAsync(ProducerMessage{Key: fmt.Sprintf("k%d", i), Payload: []byte("x"), Trace: root.Ctx()}))
+		}
+		must(t, prod.Flush())
+		if got := batchSize.Snapshot().Count; got != 1 {
+			t.Errorf("batch-size observations after one flush = %d, want 1", got)
+		}
+		_, err = prod.Send(ProducerMessage{Payload: []byte("sync")})
+		must(t, err)
+		if got := batchSize.Snapshot().Count; got != 1 {
+			t.Errorf("batch-size observations after a sync Send = %d, want still 1", got)
+		}
+		for i := 0; i < traced+2; i++ {
+			if _, ok := cons.Receive(time.Second); !ok {
+				t.Fatalf("message %d not delivered", i)
+			}
+		}
+		for _, r := range roots {
+			r.End()
+		}
+	})
+	appends := 0
+	for i, root := range roots {
+		var delivers int
+		for _, sd := range tr.TraceSpans(root.TraceID()) {
+			switch sd.Name {
+			case "ledger.append":
+				appends++
+				if i != 0 || sd.ParentID != root.Ctx().Span {
+					t.Errorf("ledger.append in trace %d parented on %d, want the first traced message's span %d",
+						i, sd.ParentID, roots[0].Ctx().Span)
+				}
+			case "pulsar.deliver":
+				delivers++
+				if sd.ParentID != root.Ctx().Span {
+					t.Errorf("trace %d: pulsar.deliver parented on %d, want %d", i, sd.ParentID, root.Ctx().Span)
+				}
+			case "req":
+			default:
+				t.Errorf("trace %d: unexpected span %q", i, sd.Name)
+			}
+		}
+		if delivers != 1 {
+			t.Errorf("trace %d: %d pulsar.deliver spans, want 1", i, delivers)
+		}
+	}
+	if appends != 1 {
+		t.Errorf("%d ledger.append spans across the batch, want 1", appends)
+	}
 }

@@ -10,19 +10,37 @@ import (
 	"repro/internal/obs"
 )
 
-// ProducerOptions tunes a producer's batching behavior.
+// defaultFlushInterval is a batching producer's staleness bound when its
+// ProducerOptions leave FlushInterval unset.
+const defaultFlushInterval = time.Millisecond
+
+// ProducerOptions tunes a producer's batching behavior. It is the one place
+// batching is configured; the zero value disables it.
 type ProducerOptions struct {
 	// MaxBatch is the number of messages SendAsync buffers per partition
-	// before forcing a flush (a group-commit ledger append). ≤1 disables
-	// batching: every SendAsync publishes immediately. Defaults to the
-	// cluster's ClusterConfig.BatchMaxMessages.
+	// before forcing a flush (a group-commit ledger append). ≤1 — the
+	// default — disables batching: every SendAsync publishes immediately.
 	MaxBatch int
 	// FlushInterval bounds how stale a buffered message may get: a
 	// SendAsync arriving FlushInterval after the oldest buffered message
 	// flushes the batch even if it is not full. (The producer has no
 	// background timer — an idle tail batch stays buffered until Flush or
-	// the next SendAsync.) Defaults to ClusterConfig.BatchFlushInterval.
+	// the next SendAsync.) Default 1ms.
 	FlushInterval time.Duration
+}
+
+// ProducerMessage is one message to publish, named after pulsar-client-go's
+// type of the same name.
+type ProducerMessage struct {
+	// Key routes the message on a partitioned topic: keyed messages hash to
+	// one partition (preserving per-key order), unkeyed ones round-robin.
+	Key string
+	// Payload is the message body. It is copied at send time, so the
+	// caller may reuse the buffer as soon as the call returns.
+	Payload []byte
+	// Trace is the caller's causal context; zero traces nothing. See Send
+	// and SendAsync for the spans it produces.
+	Trace obs.TraceCtx
 }
 
 // Producer publishes messages to a topic (routing across partitions for
@@ -39,7 +57,7 @@ type Producer struct {
 	// lock-free load of the current table, so a partition split is visible
 	// to existing producers on their next send — there is no per-producer
 	// partition count to go stale (brokers additionally fence stale routes
-	// with ErrRouteMoved; see sendKey's retry loop).
+	// with ErrRouteMoved; see send's retry loop).
 	holder *routeHolder
 
 	maxBatch int
@@ -54,7 +72,7 @@ type Producer struct {
 	// the pin, a split mid-buffer could spread one key across two batches
 	// whose flush order is unordered — a per-key order violation. With it,
 	// a stale batch is bounced whole by the broker's range fence and
-	// redistributed in message order (see publishBatchLocked).
+	// redistributed in message order (see publishBatch).
 	batchRT *routeTable
 
 	// arena carves encoded-entry buffers (guarded by mu); free recycles
@@ -76,46 +94,32 @@ type topicBatch struct {
 	traces  []obs.TraceCtx
 }
 
-// CreateProducer opens a producer for an existing topic with the cluster's
-// default batching configuration.
-func (c *Cluster) CreateProducer(topic string) (*Producer, error) {
-	return c.CreateProducerOpts(topic, ProducerOptions{
-		MaxBatch:      c.cfg.BatchMaxMessages,
-		FlushInterval: c.cfg.BatchFlushInterval,
-	})
-}
-
-// CreateProducerOpts opens a producer with explicit batching options.
-func (c *Cluster) CreateProducerOpts(topic string, opts ProducerOptions) (*Producer, error) {
+// CreateProducer opens a producer for an existing topic. opts, if given,
+// configures batching (at most one value is read); without it the producer
+// does not batch.
+func (c *Cluster) CreateProducer(topic string, opts ...ProducerOptions) (*Producer, error) {
 	h, err := c.routing(topic)
 	if err != nil {
 		return nil, err
 	}
-	if opts.MaxBatch < 1 {
-		opts.MaxBatch = 1
+	var o ProducerOptions
+	if len(opts) > 0 {
+		o = opts[0]
 	}
-	if opts.FlushInterval <= 0 {
-		opts.FlushInterval = c.cfg.BatchFlushInterval
+	if o.MaxBatch < 1 {
+		o.MaxBatch = 1
+	}
+	if o.FlushInterval <= 0 {
+		o.FlushInterval = defaultFlushInterval
 	}
 	return &Producer{
 		c:        c,
 		topic:    topic,
 		holder:   h,
-		maxBatch: opts.MaxBatch,
-		interval: opts.FlushInterval,
+		maxBatch: o.MaxBatch,
+		interval: o.FlushInterval,
 		pending:  map[string]*topicBatch{},
 	}, nil
-}
-
-// Send publishes an unkeyed message and returns its sequence number within
-// its partition.
-func (p *Producer) Send(payload []byte) (int64, error) {
-	return p.SendKey("", payload)
-}
-
-// SendTrace publishes an unkeyed message under the caller's causal context.
-func (p *Producer) SendTrace(payload []byte, tc obs.TraceCtx) (int64, error) {
-	return p.SendKeyTrace("", payload, tc)
 }
 
 // retryablePublishErr reports whether a publish failure warrants owner
@@ -127,32 +131,33 @@ func retryablePublishErr(err error) bool {
 		errors.Is(err, ledger.ErrFenced) || errors.Is(err, ledger.ErrWriterClosed)
 }
 
-// SendKey publishes a keyed message synchronously. Keyed messages on
-// partitioned topics always route to the same partition, preserving per-key
-// order. Any buffered SendAsync messages flush first, so the synchronous
-// message never overtakes them.
-func (p *Producer) SendKey(key string, payload []byte) (int64, error) {
-	return p.sendKey(key, payload, obs.TraceCtx{})
-}
-
-// SendKeyTrace is SendKey under the caller's causal context: a valid tc adds
-// a "pulsar.publish" span covering every attempt (owner resolution, the
+// Send publishes msg synchronously and returns its sequence number within
+// its partition. Any buffered SendAsync messages flush first, so the
+// synchronous message never overtakes them. A valid msg.Trace adds a
+// "pulsar.publish" span covering every attempt (owner resolution, the
 // durable append, dispatch), with the ledger append and each delivery as
-// children. A zero tc traces nothing.
-func (p *Producer) SendKeyTrace(key string, payload []byte, tc obs.TraceCtx) (int64, error) {
-	if !tc.Valid() {
-		return p.sendKey(key, payload, obs.TraceCtx{})
+// children.
+func (p *Producer) Send(msg ProducerMessage) (int64, error) {
+	if !msg.Trace.Valid() {
+		return p.send(msg.Key, msg.Payload, obs.TraceCtx{})
 	}
-	span := p.c.tracer.Start(tc, "pulsar.publish")
-	seq, err := p.sendKey(key, payload, span.Ctx())
+	span := p.c.tracer.Start(msg.Trace, "pulsar.publish")
+	seq, err := p.send(msg.Key, msg.Payload, span.Ctx())
 	span.EndErr(err != nil)
 	return seq, err
 }
 
-// sendKey is the shared synchronous publish path; pctx (the publish span's
-// context, or zero when untraced) flows to the broker so deliveries and the
-// ledger append parent on it.
-func (p *Producer) sendKey(key string, payload []byte, pctx obs.TraceCtx) (int64, error) {
+// SendKey is Send of an untraced keyed message.
+func (p *Producer) SendKey(key string, payload []byte) (int64, error) {
+	return p.Send(ProducerMessage{Key: key, Payload: payload})
+}
+
+// send is the synchronous publish path; pctx (the publish span's context,
+// or zero when untraced) flows to the broker so deliveries and the ledger
+// append parent on it. p.mu is held only to flush and encode, never across
+// the broker call: a goroutine parked on a mutex is invisible to the
+// virtual clock.
+func (p *Producer) send(key string, payload []byte, pctx obs.TraceCtx) (int64, error) {
 	p.mu.Lock()
 	if p.pendingN > 0 {
 		if err := p.flushLocked(); err != nil {
@@ -164,6 +169,12 @@ func (p *Producer) sendKey(key string, payload []byte, pctx obs.TraceCtx) (int64
 	entry := p.arena.alloc(entrySize(key, t, len(payload)))
 	view := encodeEntryInto(entry, key, t, payload)
 	p.mu.Unlock()
+	// One-element batches for the broker's single publish body; they stay
+	// on the stack (the broker retains only their contents).
+	keys := [1]string{key}
+	entries := [1][]byte{entry}
+	views := [1][]byte{view}
+	traces := [1]obs.TraceCtx{pctx}
 	var lastErr error
 	for attempt := 0; attempt < 4; attempt++ {
 		if attempt > 0 {
@@ -172,16 +183,15 @@ func (p *Producer) sendKey(key string, payload []byte, pctx obs.TraceCtx) (int64
 			// retained durable entry. (On a route move the topic — encoded
 			// in the entry — changed too.)
 			p.mu.Lock()
-			fresh := p.arena.alloc(entrySize(key, t, len(view)))
-			view = encodeEntryInto(fresh, key, t, view)
-			entry = fresh
+			entries[0] = p.arena.alloc(entrySize(key, t, len(views[0])))
+			views[0] = encodeEntryInto(entries[0], key, t, views[0])
 			p.mu.Unlock()
 		}
 		b, _, err := p.c.ensureOwner(t)
 		if err != nil {
 			return 0, err
 		}
-		seq, err := b.publishEntry(t, key, entry, view, pctx)
+		seq, err := b.publishEntries(t, keys[:], entries[:], views[:], traces[:])
 		if err == nil {
 			p.c.meterPublish(1)
 			return seq, nil
@@ -204,23 +214,18 @@ func (p *Producer) sendKey(key string, payload []byte, pctx obs.TraceCtx) (int64
 	return 0, lastErr
 }
 
-// SendAsync buffers a keyed message for batched publication. The batch for
-// its partition commits — one group ledger append — when it reaches
-// MaxBatch messages, when a later SendAsync finds the oldest buffered
-// message older than FlushInterval, or on an explicit Flush. The payload is
-// copied (into its encoded entry buffer) at enqueue time, so the caller may
-// reuse its buffer immediately. A flush error discards that flush's
-// buffered messages (they were never assigned seqs); the caller decides
-// whether to re-send.
-func (p *Producer) SendAsync(key string, payload []byte) error {
-	return p.SendAsyncTrace(key, payload, obs.TraceCtx{})
-}
-
-// SendAsyncTrace is SendAsync carrying the caller's causal context. Batched
-// publishes are traced coarsely: each buffered message remembers its tc, the
-// group ledger commit parents on the batch's first traced message, and each
-// delivery parents on its own message's tc.
-func (p *Producer) SendAsyncTrace(key string, payload []byte, tc obs.TraceCtx) error {
+// SendAsync buffers msg for batched publication. The batch for its
+// partition commits — one group ledger append — when it reaches MaxBatch
+// messages, when a later SendAsync finds the oldest buffered message older
+// than FlushInterval, or on an explicit Flush. A flush error discards that
+// flush's buffered messages (they were never assigned seqs); the caller
+// decides whether to re-send.
+//
+// Batched publishes are traced coarsely: each buffered message remembers
+// its msg.Trace, the group ledger commit ("ledger.append") parents on the
+// batch's first traced message, and each delivery parents on its own
+// message's context. There is no "pulsar.publish" span.
+func (p *Producer) SendAsync(msg ProducerMessage) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	// Route against the batch's pinned table snapshot so a concurrent split
@@ -228,17 +233,17 @@ func (p *Producer) SendAsyncTrace(key string, payload []byte, tc obs.TraceCtx) e
 	if p.pendingN == 0 || p.batchRT == nil {
 		p.batchRT = p.holder.load()
 	}
-	t := p.routeTo(p.batchRT, key)
+	t := p.routeTo(p.batchRT, msg.Key)
 	tb := p.pending[t]
 	if tb == nil {
 		tb = p.takeBatchLocked()
 		p.pending[t] = tb
 	}
-	entry := p.arena.alloc(entrySize(key, t, len(payload)))
-	tb.keys = append(tb.keys, key)
+	entry := p.arena.alloc(entrySize(msg.Key, t, len(msg.Payload)))
+	tb.keys = append(tb.keys, msg.Key)
 	tb.entries = append(tb.entries, entry)
-	tb.views = append(tb.views, encodeEntryInto(entry, key, t, payload))
-	tb.traces = append(tb.traces, tc)
+	tb.views = append(tb.views, encodeEntryInto(entry, msg.Key, t, msg.Payload))
+	tb.traces = append(tb.traces, msg.Trace)
 	p.pendingN++
 	if p.pendingN >= p.maxBatch {
 		return p.flushLocked()
@@ -293,7 +298,7 @@ func (p *Producer) flushLocked() error {
 	}
 	var firstErr error
 	for t, tb := range p.pending {
-		if err := p.publishBatchLocked(t, tb); err != nil && firstErr == nil {
+		if err := p.publishBatch(t, tb, true); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		delete(p.pending, t)
@@ -303,20 +308,18 @@ func (p *Producer) flushLocked() error {
 	return firstErr
 }
 
-// publishBatchLocked commits one partition's batch, re-resolving ownership
-// on broker failover like the synchronous path. A batch bounced whole by
-// the broker's key-range fence (the partition split while it was buffered)
-// is redistributed against fresh routing once. Called with p.mu held.
-func (p *Producer) publishBatchLocked(t string, tb *topicBatch) error {
-	return p.publishBatch(t, tb, true)
-}
-
+// publishBatch commits one partition's batch, re-resolving ownership on
+// broker failover like the synchronous path. A batch bounced whole by the
+// broker's key-range fence (the partition split while it was buffered) is
+// redistributed against fresh routing once, if allowReroute. Unlike send it
+// holds p.mu throughout. Each committed batch is one observation of
+// pulsar.publish.batch.size.
 func (p *Producer) publishBatch(t string, tb *topicBatch, allowReroute bool) error {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
 			// Fresh buffers for the retry: the failed append may have left
-			// the old ones on bookie replicas (see Broker.publishEntry).
+			// the old ones on bookie replicas (see Broker.publishEntries).
 			for i := range tb.entries {
 				fresh := p.arena.alloc(len(tb.entries[i]))
 				tb.views[i] = encodeEntryInto(fresh, tb.keys[i], t, tb.views[i])
@@ -327,7 +330,8 @@ func (p *Producer) publishBatch(t string, tb *topicBatch, allowReroute bool) err
 		if err != nil {
 			return err
 		}
-		if _, err := b.publishEntryBatch(t, tb.keys, tb.entries, tb.views, tb.traces); err == nil {
+		if _, err := b.publishEntries(t, tb.keys, tb.entries, tb.views, tb.traces); err == nil {
+			p.c.obsBatchSize.ObserveValue(int64(len(tb.entries)))
 			p.c.meterPublish(len(tb.entries))
 			return nil
 		} else {

@@ -26,14 +26,6 @@ type ClusterConfig struct {
 	AckQuorum    int
 	// Tenant is billed for publishes. Default "pulsar".
 	Tenant string
-	// BatchMaxMessages is the default per-producer batch size for
-	// SendAsync (messages buffered per partition before a group-commit
-	// ledger append). Default 1 — batching off; Send/SendKey are always
-	// synchronous regardless.
-	BatchMaxMessages int
-	// BatchFlushInterval is the default staleness bound on buffered
-	// messages (see ProducerOptions.FlushInterval). Default 1ms.
-	BatchFlushInterval time.Duration
 	// ServiceTime models each broker as a FIFO server that spends this long
 	// per message (publishers queue on the broker's virtual-time capacity
 	// before the durable append). Zero — the default — disables the model:
@@ -55,12 +47,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	}
 	if c.Tenant == "" {
 		c.Tenant = "pulsar"
-	}
-	if c.BatchMaxMessages < 1 {
-		c.BatchMaxMessages = 1
-	}
-	if c.BatchFlushInterval <= 0 {
-		c.BatchFlushInterval = time.Millisecond
 	}
 	return c
 }
@@ -482,7 +468,7 @@ func (c *Cluster) persistCursor(sub *subscription) {
 
 func (c *Cluster) meterPublish(n int) {
 	if c.meter != nil && n > 0 {
-		c.meter.Add(billing.Record{Tenant: c.cfg.Tenant, Resource: billing.ResMsgPublish, Units: float64(n), At: c.clock.Now()})
+		c.meter.Add(c.cfg.Tenant, billing.ResMsgPublish, float64(n))
 	}
 }
 

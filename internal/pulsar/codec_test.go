@@ -3,20 +3,35 @@ package pulsar
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
 )
 
+// encodeMessage encodes m the way a publish does: the producer's
+// encodeEntryInto, then the broker's stampEntry.
+func encodeMessage(m Message) []byte {
+	b := make([]byte, entrySize(m.Key, m.Topic, len(m.Payload)))
+	encodeEntryInto(b, m.Key, m.Topic, m.Payload)
+	stampEntry(b, m.Seq, m.PublishTime)
+	return b
+}
+
+var codecCases = []Message{
+	{Seq: 0, Key: "", Payload: nil, PublishTime: time.Unix(0, 0), Topic: "t"},
+	{Seq: 42, Key: "user-7", Payload: []byte("hello"), PublishTime: time.Unix(1234, 5678), Topic: "events-partition-3"},
+	{Seq: 1 << 40, Key: "ключ", Payload: bytes.Repeat([]byte{0, 1, 2, 0xff}, 100), PublishTime: time.Unix(1700000000, 999999999), Topic: strings.Repeat("long", 50)},
+	{Seq: 9, Key: "{looks-like-json", Payload: []byte(`{"payload":"trap"}`), PublishTime: time.Unix(7, 7), Topic: "x"},
+}
+
+// sameMessage compares the fields the wire format carries.
+func sameMessage(got, want Message) bool {
+	return got.Seq == want.Seq && got.Key == want.Key && got.Topic == want.Topic &&
+		bytes.Equal(got.Payload, want.Payload) && got.PublishTime.Equal(want.PublishTime)
+}
+
 func TestBinaryCodecRoundTrip(t *testing.T) {
-	cases := []Message{
-		{Seq: 0, Key: "", Payload: nil, PublishTime: time.Unix(0, 0), Topic: "t"},
-		{Seq: 42, Key: "user-7", Payload: []byte("hello"), PublishTime: time.Unix(1234, 5678), Topic: "events-partition-3"},
-		{Seq: 1 << 40, Key: "ключ", Payload: bytes.Repeat([]byte{0, 1, 2, 0xff}, 100), PublishTime: time.Unix(1700000000, 999999999), Topic: strings.Repeat("long", 50)},
-		{Seq: 9, Key: "{looks-like-json", Payload: []byte(`{"payload":"trap"}`), PublishTime: time.Unix(7, 7), Topic: "x"},
-	}
-	for i, m := range cases {
+	for i, m := range codecCases {
 		enc := encodeMessage(m)
 		if enc[0] != codecVersion {
 			t.Fatalf("case %d: version byte = 0x%02x", i, enc[0])
@@ -25,9 +40,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
-		if got.Seq != m.Seq || got.Key != m.Key || got.Topic != m.Topic ||
-			!bytes.Equal(got.Payload, m.Payload) ||
-			!got.PublishTime.Equal(m.PublishTime) {
+		if !sameMessage(got, m) {
 			t.Fatalf("case %d: round trip = %+v, want %+v", i, got, m)
 		}
 	}
@@ -42,78 +55,46 @@ func TestBinaryCodecSmallerThanJSON(t *testing.T) {
 	}
 }
 
-func TestDecodeMessageJSONFallback(t *testing.T) {
-	m := Message{Seq: 5, Key: "k", Payload: []byte("legacy"), PublishTime: time.Unix(9, 9).UTC(), Topic: "old"}
-	raw, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeMessage(raw)
-	if err != nil {
-		t.Fatalf("JSON fallback decode: %v", err)
-	}
-	if got.Seq != m.Seq || got.Key != m.Key || !bytes.Equal(got.Payload, m.Payload) || got.Topic != m.Topic {
-		t.Fatalf("fallback = %+v, want %+v", got, m)
-	}
-}
-
-func TestDecodeMessageRejectsGarbage(t *testing.T) {
+// garbageEntries are malformed entries decodeMessage must reject.
+func garbageEntries() [][]byte {
 	enc := encodeMessage(Message{Seq: 1, Key: "k", Payload: []byte("p"), Topic: "t", PublishTime: time.Unix(1, 0)})
-	bad := [][]byte{
+	return [][]byte{
 		nil,                    // empty
 		{0x7f},                 // unknown version
+		[]byte(`{"seq":1}`),    // JSON is not an entry
 		enc[:5],                // truncated header
 		enc[:len(enc)-1],       // truncated payload
 		append([]byte{}, 0x01), // version byte only
 	}
-	for i, b := range bad {
+}
+
+func TestDecodeMessageRejectsGarbage(t *testing.T) {
+	for i, b := range garbageEntries() {
 		if _, err := decodeMessage(b); err == nil {
 			t.Fatalf("case %d: decode of %v succeeded", i, b)
 		}
 	}
 }
 
-// TestJSONLedgerBackwardCompat simulates a topic whose history predates the
-// binary codec: its ledger holds JSON entries. Topic recovery must decode
-// them, and new binary publishes must continue the same stream.
-func TestJSONLedgerBackwardCompat(t *testing.T) {
-	e := newEnv(t, 1, 3)
-	e.v.Run(func() {
-		must(t, e.cluster.CreateTopic("legacy", 0))
-		// Write the pre-codec history directly: a closed ledger of JSON
-		// entries registered as the topic's first ledger.
-		w, err := e.ledgers.CreateLedger(3, 2, 2)
-		must(t, err)
-		for i := 0; i < 3; i++ {
-			m := Message{Seq: int64(i), Key: "k", Payload: []byte(fmt.Sprintf("old-%d", i)), PublishTime: e.v.Now(), Topic: "legacy"}
-			raw, merr := json.Marshal(m)
-			must(t, merr)
-			_, aerr := w.Append(raw)
-			must(t, aerr)
+// FuzzDecodeMessage: arbitrary bytes never panic the decoder, and any entry
+// a publish writes (encodeEntryInto + stampEntry) decodes to the same key,
+// topic, payload, seq and publish time.
+func FuzzDecodeMessage(f *testing.F) {
+	for _, m := range codecCases {
+		f.Add(encodeMessage(m), m.Key, m.Topic, m.Payload, m.Seq, m.PublishTime.UnixNano())
+	}
+	for _, b := range garbageEntries() {
+		f.Add(b, "k", "t", []byte("p"), int64(1), int64(1))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, key, topic string, payload []byte, seq, at int64) {
+		_, _ = decodeMessage(raw)
+		m := Message{Seq: seq, Key: key, Payload: payload, PublishTime: time.Unix(0, at), Topic: topic}
+		got, err := decodeMessage(encodeMessage(m))
+		if err != nil {
+			t.Fatalf("decode of a valid entry: %v", err)
 		}
-		must(t, w.Close())
-		must(t, e.cluster.setTopicLedgers("legacy", []int64{w.ID()}))
-
-		prod, err := e.cluster.CreateProducer("legacy")
-		must(t, err)
-		seq, err := prod.Send([]byte("new-binary"))
-		must(t, err)
-		if seq != 3 {
-			t.Errorf("post-recovery seq = %d, want 3 (JSON backlog counted)", seq)
-		}
-		cons, err := e.cluster.Subscribe("legacy", "s", Exclusive, Earliest)
-		must(t, err)
-		want := []string{"old-0", "old-1", "old-2", "new-binary"}
-		for i, p := range want {
-			m, ok := cons.Receive(time.Second)
-			if !ok {
-				t.Errorf("timed out waiting for message %d", i)
-				return
-			}
-			if string(m.Payload) != p || m.Seq != int64(i) {
-				t.Errorf("message %d = seq %d %q, want seq %d %q", i, m.Seq, m.Payload, i, p)
-			}
-			must(t, cons.Ack(m))
+		if !sameMessage(got, m) {
+			t.Fatalf("round trip = %+v, want %+v", got, m)
 		}
 	})
 }

@@ -55,7 +55,7 @@ func TestConcurrentPublishDistinctTopics(t *testing.T) {
 		go func(topic string) {
 			defer wg.Done()
 			for j := 0; j < msgs; j++ {
-				if _, err := prod.Send([]byte(fmt.Sprintf("%s/%d", topic, j))); err != nil {
+				if _, err := prod.Send(ProducerMessage{Payload: []byte(fmt.Sprintf("%s/%d", topic, j))}); err != nil {
 					errs <- fmt.Errorf("%s publish %d: %w", topic, j, err)
 					return
 				}
@@ -184,11 +184,11 @@ func TestConcurrentKeySharedOrdering(t *testing.T) {
 // concurrent SendAsync callers: after a final Flush every message is
 // delivered exactly once, in seq order.
 func TestConcurrentBatchedSendAsync(t *testing.T) {
-	cl := newRealEnv(t, 2, 3, ClusterConfig{BatchMaxMessages: 16, BatchFlushInterval: time.Hour})
+	cl := newRealEnv(t, 2, 3, ClusterConfig{})
 	if err := cl.CreateTopic("batched", 0); err != nil {
 		t.Fatal(err)
 	}
-	prod, err := cl.CreateProducer("batched")
+	prod, err := cl.CreateProducer("batched", ProducerOptions{MaxBatch: 16, FlushInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestConcurrentBatchedSendAsync(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for j := 0; j < perSender; j++ {
-				if err := prod.SendAsync("", []byte("m")); err != nil {
+				if err := prod.SendAsync(ProducerMessage{Payload: []byte("m")}); err != nil {
 					errs <- fmt.Errorf("sender %d: %w", s, err)
 					return
 				}

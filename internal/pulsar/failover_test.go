@@ -23,7 +23,7 @@ func TestFailoverExactCursor(t *testing.T) {
 		cons, err := e.cluster.Subscribe("t", "s", Exclusive, Earliest)
 		must(t, err)
 		for i := 0; i < 10; i++ {
-			_, err := prod.Send([]byte(fmt.Sprintf("m%d", i)))
+			_, err := prod.Send(ProducerMessage{Payload: []byte(fmt.Sprintf("m%d", i))})
 			must(t, err)
 		}
 		// Receive everything, ack a ragged subset: contiguous prefix 0..2
@@ -46,7 +46,7 @@ func TestFailoverExactCursor(t *testing.T) {
 		// Publishing forces re-election; the new owner replays the ledgers
 		// and restores the cursor, ragged acks included.
 		for i := 0; i < 2; i++ {
-			_, err := prod.Send([]byte(fmt.Sprintf("post%d", i)))
+			_, err := prod.Send(ProducerMessage{Payload: []byte(fmt.Sprintf("post%d", i))})
 			must(t, err)
 		}
 		got := map[int64]int{}
@@ -82,15 +82,15 @@ func TestBrokerDropNextSurfacesError(t *testing.T) {
 	e.v.Run(func() {
 		must(t, e.cluster.CreateTopic("t", 0))
 		prod, _ := e.cluster.CreateProducer("t")
-		_, err := prod.Send([]byte("a"))
+		_, err := prod.Send(ProducerMessage{Payload: []byte("a")})
 		must(t, err)
 		owner, _, err := e.cluster.ensureOwner("t")
 		must(t, err)
 		owner.DropNext(1)
-		if _, err := prod.Send([]byte("b")); !errors.Is(err, ErrPublishDropped) {
+		if _, err := prod.Send(ProducerMessage{Payload: []byte("b")}); !errors.Is(err, ErrPublishDropped) {
 			t.Fatalf("err = %v, want ErrPublishDropped", err)
 		}
-		seq, err := prod.Send([]byte("c"))
+		seq, err := prod.Send(ProducerMessage{Payload: []byte("c")})
 		must(t, err)
 		if seq != 1 {
 			t.Fatalf("seq after drop = %d, want 1 (dropped publish assigned no seq)", seq)
@@ -105,19 +105,19 @@ func TestBrokerSetSlowAddsLatency(t *testing.T) {
 	e.v.Run(func() {
 		must(t, e.cluster.CreateTopic("t", 0))
 		prod, _ := e.cluster.CreateProducer("t")
-		_, err := prod.Send([]byte("warm"))
+		_, err := prod.Send(ProducerMessage{Payload: []byte("warm")})
 		must(t, err)
 		owner, _, err := e.cluster.ensureOwner("t")
 		must(t, err)
 
 		base := e.v.Now()
-		_, err = prod.Send([]byte("fast"))
+		_, err = prod.Send(ProducerMessage{Payload: []byte("fast")})
 		must(t, err)
 		fast := e.v.Now().Sub(base)
 
 		owner.SetSlow(3 * time.Millisecond)
 		base = e.v.Now()
-		_, err = prod.Send([]byte("slow"))
+		_, err = prod.Send(ProducerMessage{Payload: []byte("slow")})
 		must(t, err)
 		slow := e.v.Now().Sub(base)
 		if slow != fast+3*time.Millisecond {
@@ -147,7 +147,7 @@ func TestGeoReplicationDropsAfterRetries(t *testing.T) {
 		must(t, err)
 		prod, _ := e.cluster.CreateProducer("t")
 		for i := 0; i < 3; i++ {
-			_, err := prod.Send([]byte(fmt.Sprintf("m%d", i)))
+			_, err := prod.Send(ProducerMessage{Payload: []byte(fmt.Sprintf("m%d", i))})
 			must(t, err)
 		}
 		for i := 0; i < 1000 && repl.Dropped() < 3; i++ {

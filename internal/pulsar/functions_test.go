@@ -71,7 +71,7 @@ func TestFunctionParallelInstancesShareWork(t *testing.T) {
 		must(t, err)
 		prod, _ := e.cluster.CreateProducer("in")
 		for i := 0; i < 30; i++ {
-			_, err := prod.Send([]byte("x"))
+			_, err := prod.Send(ProducerMessage{Payload: []byte("x")})
 			must(t, err)
 		}
 		// Let instances drain.
@@ -104,9 +104,9 @@ func TestFunctionStateGetPut(t *testing.T) {
 		})
 		must(t, err)
 		prod, _ := e.cluster.CreateProducer("in")
-		_, err = prod.Send([]byte("a"))
+		_, err = prod.Send(ProducerMessage{Payload: []byte("a")})
 		must(t, err)
-		_, err = prod.Send([]byte("b"))
+		_, err = prod.Send(ProducerMessage{Payload: []byte("b")})
 		must(t, err)
 		for i := 0; i < 200 && rf.Processed() < 2; i++ {
 			e.v.Sleep(5 * time.Millisecond)
@@ -133,7 +133,7 @@ func TestFunctionPublishWithoutOutputErrors(t *testing.T) {
 		})
 		must(t, err)
 		prod, _ := e.cluster.CreateProducer("in")
-		_, err = prod.Send([]byte("x"))
+		_, err = prod.Send(ProducerMessage{Payload: []byte("x")})
 		must(t, err)
 		for i := 0; i < 200 && rf.Processed() < 1; i++ {
 			e.v.Sleep(5 * time.Millisecond)
@@ -170,9 +170,9 @@ func TestFunctionTwoInputTopics(t *testing.T) {
 		pa, _ := e.cluster.CreateProducer("a")
 		pb, _ := e.cluster.CreateProducer("b")
 		for i := 0; i < 3; i++ {
-			_, err := pa.Send([]byte("x"))
+			_, err := pa.Send(ProducerMessage{Payload: []byte("x")})
 			must(t, err)
-			_, err = pb.Send([]byte("y"))
+			_, err = pb.Send(ProducerMessage{Payload: []byte("y")})
 			must(t, err)
 		}
 		for i := 0; i < 200 && rf.Processed() < 6; i++ {

@@ -25,7 +25,7 @@ func TestGeoReplicationRedeliveredEntryNotDoubleReplicated(t *testing.T) {
 
 		prod, _ := e.cluster.CreateProducer("t")
 		for i := 0; i < 3; i++ {
-			_, err := prod.Send([]byte(fmt.Sprintf("m%d", i)))
+			_, err := prod.Send(ProducerMessage{Payload: []byte(fmt.Sprintf("m%d", i))})
 			must(t, err)
 		}
 		for i := 0; i < 1000 && repl.Replicated() < 3; i++ {

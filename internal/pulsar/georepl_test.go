@@ -81,7 +81,7 @@ func TestGeoReplicationResumesFromDurableCursor(t *testing.T) {
 		repl, err := StartReplicator(e.cluster, west, ReplicatorConfig{SrcTopic: "t", DstTopic: "t"})
 		must(t, err)
 		for i := 0; i < 5; i++ {
-			_, err := prod.Send([]byte(fmt.Sprintf("a%d", i)))
+			_, err := prod.Send(ProducerMessage{Payload: []byte(fmt.Sprintf("a%d", i))})
 			must(t, err)
 		}
 		for i := 0; i < 1000 && repl.Replicated() < 5; i++ {
@@ -91,7 +91,7 @@ func TestGeoReplicationResumesFromDurableCursor(t *testing.T) {
 
 		// Messages published while no replicator runs.
 		for i := 0; i < 5; i++ {
-			_, err := prod.Send([]byte(fmt.Sprintf("b%d", i)))
+			_, err := prod.Send(ProducerMessage{Payload: []byte(fmt.Sprintf("b%d", i))})
 			must(t, err)
 		}
 		// A restarted replicator resumes at the durable cursor: only the

@@ -11,6 +11,7 @@ import (
 	"repro/internal/billing"
 	"repro/internal/coord"
 	"repro/internal/ledger"
+	"repro/internal/obs"
 	"repro/internal/simclock"
 )
 
@@ -57,7 +58,7 @@ func TestMoveTopicExactCursor(t *testing.T) {
 		cons, err := e.cluster.Subscribe("orders", "app", Shared, Earliest)
 		must(t, err)
 		for i := 0; i < 10; i++ {
-			_, err := prod.Send([]byte(fmt.Sprintf("m%d", i)))
+			_, err := prod.Send(ProducerMessage{Payload: []byte(fmt.Sprintf("m%d", i))})
 			must(t, err)
 		}
 		// Ack a ragged subset: prefix 0-2 plus out-of-order 5 and 7.
@@ -100,7 +101,7 @@ func TestMoveTopicExactCursor(t *testing.T) {
 			must(t, cons.Ack(m))
 		}
 		// New publishes flow through the new owner at the next seq.
-		seq, err := prod.Send([]byte("m10"))
+		seq, err := prod.Send(ProducerMessage{Payload: []byte("m10")})
 		must(t, err)
 		if seq != 10 {
 			t.Fatalf("post-move seq = %d, want 10", seq)
@@ -154,7 +155,10 @@ func TestSplitPartitionRouting(t *testing.T) {
 		// The parent broker now fences the high key outright.
 		pb, _, err := e.cluster.ensureOwner("t-partition-0")
 		must(t, err)
-		if _, err := pb.publish("t-partition-0", high, []byte("stale")); !errors.Is(err, ErrRouteMoved) {
+		entry := make([]byte, entrySize(high, "t-partition-0", len("stale")))
+		view := encodeEntryInto(entry, high, "t-partition-0", []byte("stale"))
+		_, err = pb.publishEntries("t-partition-0", []string{high}, [][]byte{entry}, [][]byte{view}, make([]obs.TraceCtx, 1))
+		if !errors.Is(err, ErrRouteMoved) {
 			t.Fatalf("stale publish err = %v, want ErrRouteMoved", err)
 		}
 	})
@@ -168,7 +172,7 @@ func TestSplitPreservesPerKeyOrderBatched(t *testing.T) {
 	e := newEnv(t, 2, 3)
 	e.v.Run(func() {
 		must(t, e.cluster.CreateTopic("t", 2))
-		prod, err := e.cluster.CreateProducerOpts("t", ProducerOptions{MaxBatch: 64, FlushInterval: time.Hour})
+		prod, err := e.cluster.CreateProducer("t", ProducerOptions{MaxBatch: 64, FlushInterval: time.Hour})
 		must(t, err)
 		cons, err := e.cluster.Subscribe("t", "tail", Shared, Earliest)
 		must(t, err)
@@ -179,7 +183,7 @@ func TestSplitPreservesPerKeyOrderBatched(t *testing.T) {
 			for i := 0; i < n; i++ {
 				k := keys[i%len(keys)]
 				counter[k]++
-				must(t, prod.SendAsync(k, []byte(fmt.Sprintf("%s#%d", k, counter[k]))))
+				must(t, prod.SendAsync(ProducerMessage{Key: k, Payload: []byte(fmt.Sprintf("%s#%d", k, counter[k]))}))
 			}
 		}
 		sendRound(20)
@@ -251,11 +255,11 @@ func TestLoadManagerMovesHotTopic(t *testing.T) {
 		})
 		// Uneven load: names[0] hot, names[1] warm — both on broker-0.
 		for i := 0; i < 200; i++ {
-			_, err := prods[names[0]].Send([]byte("x"))
+			_, err := prods[names[0]].Send(ProducerMessage{Payload: []byte("x")})
 			must(t, err)
 		}
 		for i := 0; i < 50; i++ {
-			_, err := prods[names[1]].Send([]byte("x"))
+			_, err := prods[names[1]].Send(ProducerMessage{Payload: []byte("x")})
 			must(t, err)
 		}
 		for _, n := range names {

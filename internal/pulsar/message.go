@@ -9,7 +9,6 @@ package pulsar
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -31,12 +30,12 @@ type Message struct {
 	// Trace is the publish-side causal context, carried in memory only: it
 	// parents per-delivery "pulsar.deliver" spans. It is deliberately not
 	// part of the wire format — a trace ends with its request, so entries
-	// replayed from a recovered ledger (or an old JSON topic) come back
-	// untraced rather than resurrecting long-finalized traces.
+	// replayed from a recovered ledger come back untraced rather than
+	// resurrecting long-finalized traces.
 	Trace obs.TraceCtx `json:"-"`
 }
 
-// Ledger entry wire format. Entries written by current brokers are binary:
+// Ledger entry wire format (binary; encodeEntryInto writes every entry):
 //
 //	byte 0      codecVersion (0x01)
 //	bytes 1-8   Seq, big-endian int64
@@ -44,33 +43,9 @@ type Message struct {
 //	uvarint     len(Key)   followed by the key bytes
 //	uvarint     len(Topic) followed by the topic bytes
 //	uvarint     len(Payload) followed by the payload bytes
-//
-// Ledgers written before the binary codec hold JSON objects; decodeMessage
-// falls back to JSON when the first byte is '{' (which can never be a valid
-// version byte), so old topics still recover.
 const codecVersion = 0x01
 
 const msgFixedHeader = 1 + 8 + 8 // version + seq + publish time
-
-// encodeMessage serializes m into a single freshly allocated buffer.
-func encodeMessage(m Message) []byte {
-	size := msgFixedHeader +
-		uvarintLen(uint64(len(m.Key))) + len(m.Key) +
-		uvarintLen(uint64(len(m.Topic))) + len(m.Topic) +
-		uvarintLen(uint64(len(m.Payload))) + len(m.Payload)
-	b := make([]byte, size)
-	b[0] = codecVersion
-	binary.BigEndian.PutUint64(b[1:], uint64(m.Seq))
-	binary.BigEndian.PutUint64(b[9:], uint64(m.PublishTime.UnixNano()))
-	off := msgFixedHeader
-	off += binary.PutUvarint(b[off:], uint64(len(m.Key)))
-	off += copy(b[off:], m.Key)
-	off += binary.PutUvarint(b[off:], uint64(len(m.Topic)))
-	off += copy(b[off:], m.Topic)
-	off += binary.PutUvarint(b[off:], uint64(len(m.Payload)))
-	copy(b[off:], m.Payload)
-	return b
-}
 
 // entrySize returns the encoded size of an entry with the given key, topic
 // and payload length.
@@ -109,16 +84,11 @@ func stampEntry(entry []byte, seq int64, at time.Time) {
 	binary.BigEndian.PutUint64(entry[9:], uint64(at.UnixNano()))
 }
 
-// decodeMessage parses a ledger entry in either the binary format or the
-// legacy JSON format. The returned Message's Payload may alias b.
+// decodeMessage parses a ledger entry. The returned Message's Payload may
+// alias b.
 func decodeMessage(b []byte) (Message, error) {
 	if len(b) == 0 {
 		return Message{}, fmt.Errorf("pulsar: empty ledger entry")
-	}
-	if b[0] == '{' { // legacy JSON entry
-		var m Message
-		err := json.Unmarshal(b, &m)
-		return m, err
 	}
 	if b[0] != codecVersion {
 		return Message{}, fmt.Errorf("pulsar: unknown entry codec version 0x%02x", b[0])

@@ -80,7 +80,7 @@ func TestPropertyNoLossUnderRandomBrokerKills(t *testing.T) {
 				published := 0
 				for round := 0; round < 4; round++ {
 					for i := 0; i < 25; i++ {
-						if _, err := prod.Send([]byte{byte(i)}); err == nil {
+						if _, err := prod.Send(ProducerMessage{Payload: []byte{byte(i)}}); err == nil {
 							published++
 						}
 					}
@@ -125,7 +125,7 @@ func TestBacklogAccounting(t *testing.T) {
 		cons, err := e.cluster.Subscribe("t", "s", Shared, Earliest)
 		must(t, err)
 		for i := 0; i < 10; i++ {
-			_, err := prod.Send([]byte{byte(i)})
+			_, err := prod.Send(ProducerMessage{Payload: []byte{byte(i)}})
 			must(t, err)
 		}
 		n, err := e.cluster.Backlog("t", "s")

@@ -46,7 +46,7 @@ func TestProduceConsumeAck(t *testing.T) {
 		cons, err := e.cluster.Subscribe("events", "main", Exclusive, Earliest)
 		must(t, err)
 		for i := 0; i < 5; i++ {
-			_, err := prod.Send([]byte(fmt.Sprintf("m%d", i)))
+			_, err := prod.Send(ProducerMessage{Payload: []byte(fmt.Sprintf("m%d", i))})
 			must(t, err)
 		}
 		for i := 0; i < 5; i++ {
@@ -73,7 +73,7 @@ func TestPublishIsMetered(t *testing.T) {
 		must(t, e.cluster.CreateTopic("t", 0))
 		prod, _ := e.cluster.CreateProducer("t")
 		for i := 0; i < 3; i++ {
-			_, err := prod.Send([]byte("x"))
+			_, err := prod.Send(ProducerMessage{Payload: []byte("x")})
 			must(t, err)
 		}
 	})
@@ -87,14 +87,14 @@ func TestLatestSkipsBacklog(t *testing.T) {
 	e.v.Run(func() {
 		must(t, e.cluster.CreateTopic("t", 0))
 		prod, _ := e.cluster.CreateProducer("t")
-		_, err := prod.Send([]byte("old"))
+		_, err := prod.Send(ProducerMessage{Payload: []byte("old")})
 		must(t, err)
 		cons, err := e.cluster.Subscribe("t", "s", Exclusive, Latest)
 		must(t, err)
 		if m, ok := cons.Receive(10 * time.Millisecond); ok {
 			t.Fatalf("Latest subscription got backlog message %q", m.Payload)
 		}
-		_, err = prod.Send([]byte("new"))
+		_, err = prod.Send(ProducerMessage{Payload: []byte("new")})
 		must(t, err)
 		m, ok := cons.Receive(time.Second)
 		if !ok || string(m.Payload) != "new" {
@@ -113,7 +113,7 @@ func TestSharedRoundRobin(t *testing.T) {
 		must(t, err)
 		prod, _ := e.cluster.CreateProducer("jobs")
 		for i := 0; i < 10; i++ {
-			_, err := prod.Send([]byte{byte(i)})
+			_, err := prod.Send(ProducerMessage{Payload: []byte{byte(i)}})
 			must(t, err)
 		}
 		n1, n2 := drain(c1), drain(c2)
@@ -133,7 +133,7 @@ func TestFailoverMode(t *testing.T) {
 		must(t, err)
 		prod, _ := e.cluster.CreateProducer("t")
 		for i := 0; i < 4; i++ {
-			_, err := prod.Send([]byte{byte(i)})
+			_, err := prod.Send(ProducerMessage{Payload: []byte{byte(i)}})
 			must(t, err)
 		}
 		if n := drainAck(c1); n != 4 {
@@ -145,7 +145,7 @@ func TestFailoverMode(t *testing.T) {
 		// Active leaves; standby takes over.
 		c1.Close()
 		for i := 4; i < 8; i++ {
-			_, err := prod.Send([]byte{byte(i)})
+			_, err := prod.Send(ProducerMessage{Payload: []byte{byte(i)}})
 			must(t, err)
 		}
 		if n := drainAck(c2); n != 4 {
@@ -214,7 +214,7 @@ func TestDurableCursorAcrossConsumerSessions(t *testing.T) {
 		cons, err := e.cluster.Subscribe("t", "s", Exclusive, Earliest)
 		must(t, err)
 		for i := 0; i < 3; i++ {
-			_, err := prod.Send([]byte(fmt.Sprintf("m%d", i)))
+			_, err := prod.Send(ProducerMessage{Payload: []byte(fmt.Sprintf("m%d", i))})
 			must(t, err)
 		}
 		// Ack only the first two.
@@ -272,7 +272,7 @@ func TestPartitionedRoundRobinSpread(t *testing.T) {
 		must(t, e.cluster.CreateTopic("pt", 3))
 		prod, _ := e.cluster.CreateProducer("pt")
 		for i := 0; i < 9; i++ {
-			_, err := prod.Send([]byte("x"))
+			_, err := prod.Send(ProducerMessage{Payload: []byte("x")})
 			must(t, err)
 		}
 		cons, err := e.cluster.Subscribe("pt", "s", Exclusive, Earliest)
@@ -304,7 +304,7 @@ func TestBrokerFailoverNoMessageLoss(t *testing.T) {
 		cons, err := e.cluster.Subscribe("t", "s", Exclusive, Earliest)
 		must(t, err)
 		for i := 0; i < 5; i++ {
-			_, err := prod.Send([]byte(fmt.Sprintf("pre%d", i)))
+			_, err := prod.Send(ProducerMessage{Payload: []byte(fmt.Sprintf("pre%d", i))})
 			must(t, err)
 		}
 		// Consume and ack the first three.
@@ -322,7 +322,7 @@ func TestBrokerFailoverNoMessageLoss(t *testing.T) {
 
 		// Producing re-elects an owner (recovery fences + reopens ledgers).
 		for i := 0; i < 5; i++ {
-			_, err := prod.Send([]byte(fmt.Sprintf("post%d", i)))
+			_, err := prod.Send(ProducerMessage{Payload: []byte(fmt.Sprintf("post%d", i))})
 			must(t, err)
 		}
 		// Consumer re-attaches; everything unacked redelivers at least once.
@@ -352,7 +352,7 @@ func TestBookieFailureToleratedByQuorum(t *testing.T) {
 	e.v.Run(func() {
 		must(t, e.cluster.CreateTopic("t", 0))
 		prod, _ := e.cluster.CreateProducer("t")
-		_, err := prod.Send([]byte("before"))
+		_, err := prod.Send(ProducerMessage{Payload: []byte("before")})
 		must(t, err)
 		b, _ := e.ledgers.Bookie("bookie-0")
 		b.SetDown(true)
@@ -361,7 +361,7 @@ func TestBookieFailureToleratedByQuorum(t *testing.T) {
 		// publishes fail — but acked data stays readable.
 		okCount := 0
 		for i := 0; i < 6; i++ {
-			if _, err := prod.Send([]byte(fmt.Sprintf("m%d", i))); err == nil {
+			if _, err := prod.Send(ProducerMessage{Payload: []byte(fmt.Sprintf("m%d", i))}); err == nil {
 				okCount++
 			}
 		}
@@ -401,7 +401,7 @@ func TestNoBrokersAvailable(t *testing.T) {
 		b, _ := e.cluster.Broker("broker-0")
 		b.SetDown(true)
 		prod, _ := e.cluster.CreateProducer("t")
-		if _, err := prod.Send([]byte("x")); !errors.Is(err, ErrNoBroker) {
+		if _, err := prod.Send(ProducerMessage{Payload: []byte("x")}); !errors.Is(err, ErrNoBroker) {
 			t.Errorf("err = %v", err)
 		}
 	})

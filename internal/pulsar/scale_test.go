@@ -50,7 +50,7 @@ func runLane(t *testing.T, e *env, prod *Producer, key string, sched []time.Dura
 		}
 		var err error
 		if key == "" {
-			_, err = prod.Send([]byte("soak"))
+			_, err = prod.Send(ProducerMessage{Payload: []byte("soak")})
 		} else {
 			_, err = prod.SendKey(key, []byte("soak"))
 		}

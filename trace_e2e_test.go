@@ -19,7 +19,7 @@ import (
 )
 
 func TestSingleTraceAcrossSubsystems(t *testing.T) {
-	p := core.New(core.Options{PulsarBatchMax: 1, PulsarFlushInterval: time.Hour})
+	p := core.New(core.Options{})
 	if err := p.Pulsar.CreateTopic("events", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestSingleTraceAcrossSubsystems(t *testing.T) {
 
 	acme := p.Tenant("acme")
 	if err := acme.Register("handler", func(ctx *faas.Ctx, in []byte) ([]byte, error) {
-		if _, err := prod.SendTrace(in, ctx.Trace); err != nil {
+		if _, err := prod.Send(pulsar.ProducerMessage{Payload: in, Trace: ctx.Trace}); err != nil {
 			return nil, err
 		}
 		if err := ns.Traced(ctx.Trace).Put("state", in); err != nil {
