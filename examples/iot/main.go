@@ -125,7 +125,7 @@ func main() {
 		for _, a := range alerts[:min(3, len(alerts))] {
 			fmt.Println("  " + a)
 		}
-		st, _ := platform.FaaS.Stats("register-device")
+		st, _ := platform.FaaS.Stats("", "register-device")
 		fmt.Printf("\nregistration function: %d invocations, %d cold starts\n", st.Invocations, st.ColdStarts)
 	})
 

@@ -64,7 +64,7 @@ func main() {
 		// 4. Demand-driven execution: idle past the keep-alive, the warm
 		// pool scales back to zero (§2).
 		clock.Sleep(2 * time.Minute)
-		st, _ := platform.FaaS.Stats("greet")
+		st, _ := platform.FaaS.Stats("", "greet")
 		fmt.Printf("\nafter idle: invocations=%d coldStarts=%d warmIdle=%d (scaled to zero)\n",
 			st.Invocations, st.ColdStarts, st.WarmIdle)
 	})

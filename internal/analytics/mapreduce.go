@@ -161,11 +161,11 @@ func Run(p *faas.Platform, store ShuffleStore, job Job, chunks []string) (map[st
 	if err := p.Register(mapperName, job.Tenant, mapper, job.WorkerConfig); err != nil {
 		return nil, err
 	}
-	defer p.Unregister(mapperName)
+	defer p.Unregister("", mapperName)
 	if err := p.Register(reducerName, job.Tenant, reducer, job.WorkerConfig); err != nil {
 		return nil, err
 	}
-	defer p.Unregister(reducerName)
+	defer p.Unregister("", reducerName)
 
 	// Map phase: all chunks in parallel.
 	var wg sync.WaitGroup

@@ -136,7 +136,7 @@ func TestKeepAliveIsTheScaleToZeroFloor(t *testing.T) {
 		if fs := ctrl.Status().Functions[0]; fs.Desired != 1 {
 			t.Errorf("desired = %d inside keep-alive, want 1", fs.Desired)
 		}
-		st, _ := p.Stats("sticky")
+		st, _ := p.Stats("", "sticky")
 		if st.WarmIdle != 1 {
 			t.Errorf("warm idle = %d inside keep-alive, want 1", st.WarmIdle)
 		}

@@ -185,7 +185,7 @@ func AllPairsServerless(p *faas.Platform, seqs []string, s Scoring, cfg Serverle
 	if err := p.Register(fnName, cfg.Tenant, worker, cfg.Worker); err != nil {
 		return nil, err
 	}
-	defer p.Unregister(fnName)
+	defer p.Unregister("", fnName)
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex

@@ -57,7 +57,7 @@ func (t *TenantHandle) InvokeAsync(name string, payload []byte, done func(faas.R
 // resolves only within this tenant's namespace: another tenant's same-named
 // function is untouched, and the failure is ErrNoFunction either way.
 func (t *TenantHandle) Unregister(name string) error {
-	return t.p.FaaS.UnregisterFor(t.name, name)
+	return t.p.FaaS.Unregister(t.name, name)
 }
 
 // Functions lists this tenant's registered functions, sorted by name.
@@ -67,7 +67,7 @@ func (t *TenantHandle) Functions() []faas.FunctionInfo {
 
 // Stats snapshots one of this tenant's functions' counters.
 func (t *TenantHandle) Stats(name string) (faas.Stats, error) {
-	return t.p.FaaS.StatsFor(t.name, name)
+	return t.p.FaaS.Stats(t.name, name)
 }
 
 // Invoice prices the tenant's accumulated usage.

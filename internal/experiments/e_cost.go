@@ -96,9 +96,9 @@ func E2Elasticity() Table {
 		rep := faas.Drive(p.FaaS, "app", nil, arrivals)
 		rep.Wait()
 		v.Sleep(3 * time.Minute) // idle tail: instances should be reaped
-		p.FaaS.Stats("app")      // force final reap sample
+		p.FaaS.Stats("", "app")  // force final reap sample
 	})
-	st, _ := p.FaaS.Stats("app")
+	st, _ := p.FaaS.Stats("", "app")
 
 	table := Table{
 		ID:      "E2",
@@ -163,7 +163,7 @@ func E3ColdStart() Table {
 			rep := faas.Drive(p.FaaS, "fn", nil, arrivals)
 			rep.Wait()
 		})
-		st, _ := p.FaaS.Stats("fn")
+		st, _ := p.FaaS.Stats("", "fn")
 		v.Close()
 		table.Rows = append(table.Rows, []string{
 			gap.String(), f("%d", st.Invocations), f("%d", st.ColdStarts),

@@ -210,7 +210,7 @@ func E22Provisioned() Table {
 			rep := faas.Drive(p.FaaS, "spiky", nil, arrivals)
 			rep.Wait()
 		})
-		st, _ := p.FaaS.Stats("spiky")
+		st, _ := p.FaaS.Stats("", "spiky")
 		v.Close()
 		cfg := "on-demand"
 		if prewarm > 0 {

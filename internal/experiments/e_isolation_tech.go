@@ -39,7 +39,7 @@ func E24IsolationTech() Table {
 			rep := faas.Drive(p.FaaS, "fn", nil, arrivals)
 			rep.Wait()
 		})
-		st, _ := p.FaaS.Stats("fn")
+		st, _ := p.FaaS.Stats("", "fn")
 		v.Close()
 		table.Rows = append(table.Rows, []string{
 			iso.Name,

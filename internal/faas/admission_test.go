@@ -173,12 +173,12 @@ func TestSetPoolTarget(t *testing.T) {
 		if started != 2 { // prewarm already holds 1 idle
 			t.Fatalf("started = %d, want 2", started)
 		}
-		st, _ := p.Stats("pw")
+		st, _ := p.Stats("", "pw")
 		if st.Warming != 2 {
 			t.Fatalf("warming = %d, want 2", st.Warming)
 		}
 		v.Sleep(200 * time.Millisecond) // cold starts complete
-		st, _ = p.Stats("pw")
+		st, _ = p.Stats("", "pw")
 		if st.Warming != 0 || st.WarmIdle != 3 {
 			t.Fatalf("after warmup: warming=%d idle=%d, want 0/3", st.Warming, st.WarmIdle)
 		}
@@ -191,7 +191,7 @@ func TestSetPoolTarget(t *testing.T) {
 		if released != -2 {
 			t.Fatalf("released = %d, want -2 (floor keeps 1)", released)
 		}
-		st, _ = p.Stats("pw")
+		st, _ = p.Stats("", "pw")
 		if st.WarmIdle != 1 {
 			t.Fatalf("idle after trim = %d, want the Prewarm floor of 1", st.WarmIdle)
 		}

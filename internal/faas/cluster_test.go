@@ -25,7 +25,7 @@ func TestPrewarmEliminatesColdStarts(t *testing.T) {
 			}
 		}
 	})
-	st, _ := p.Stats("hot")
+	st, _ := p.Stats("", "hot")
 	if st.ColdStarts != 0 {
 		t.Fatalf("cold starts = %d, want 0", st.ColdStarts)
 	}
@@ -41,7 +41,7 @@ func TestPrewarmFloorSurvivesReaping(t *testing.T) {
 		rep := Drive(p, "floor", nil, make([]time.Duration, 6))
 		rep.Wait()
 		v.Sleep(10 * time.Minute) // way past keep-alive
-		st, _ := p.Stats("floor")
+		st, _ := p.Stats("", "floor")
 		if st.WarmIdle != 2 {
 			t.Errorf("warm idle = %d, want the Prewarm floor of 2", st.WarmIdle)
 		}
@@ -64,7 +64,7 @@ func TestClusterPlacementAndRelease(t *testing.T) {
 			t.Error("no machines active while instances warm")
 		}
 		v.Sleep(5 * time.Minute) // keep-alive lapses → instances released
-		p.Stats("placed")        // force reap
+		p.Stats("", "placed")    // force reap
 		if got := cluster.ActiveMachines(); got != 0 {
 			t.Errorf("machines still active after scale-to-zero: %d", got)
 		}

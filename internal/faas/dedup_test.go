@@ -39,7 +39,7 @@ func TestRetryBreakerTripBillingConsistent(t *testing.T) {
 		if res.Attempt != 4 {
 			t.Errorf("res.Attempt = %d, want 4 (three executions + the fast-fail)", res.Attempt)
 		}
-		st, _ := p.Stats("f")
+		st, _ := p.Stats("", "f")
 		if st.Invocations != 3 {
 			t.Errorf("executions = %d, want 3", st.Invocations)
 		}

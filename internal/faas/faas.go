@@ -157,7 +157,7 @@ type Ctx struct {
 	Tenant       string
 	RequestID    int64
 	InstanceID   int64 // identity of the warm instance running this request
-	Attempt      int   // 1-based attempt number under async retry
+	Attempt      int   // 1-based attempt number under retry
 	// Trace is the handler span's causal context. Handlers thread it into
 	// downstream trace-aware APIs (a pulsar ProducerMessage.Trace, jiffy
 	// Traced, a nested invoke's Req.Trace) so one request is one trace
@@ -554,7 +554,7 @@ func (p *Platform) Register(name, tenant string, handler Handler, cfg Config) er
 	}
 	fn := &function{name: name, key: tenant + "/" + name, tenant: tenant, handler: handler, cfg: cfg.withDefaults(), platform: p}
 	if fn.cfg.BreakerThreshold > 0 {
-		fn.brkGauge = p.obsReg.Gauge("faas.breaker.state." + name)
+		fn.brkGauge = p.obsReg.Gauge("faas.breaker.state." + fn.key)
 	}
 	fn.lblInv = p.obsInvVec.With(tenant, name)
 	fn.lblFail = p.obsFailVec.With(tenant, name)
@@ -624,10 +624,11 @@ func (p *Platform) slowdownFor(fn *function, inst *instance) float64 {
 }
 
 // Unregister removes a function, releasing its idle instances' cluster
-// capacity.
-func (p *Platform) Unregister(name string) error { return p.unregister("", name) }
-
-func (p *Platform) unregister(tenant, name string) error {
+// capacity. tenant and name resolve as in Req: with a tenant, only that
+// tenant's namespace is searched (another tenant's same-named function is
+// untouched and unprobeable, ErrNoFunction either way); without one, name is
+// bare or qualified as "tenant/name".
+func (p *Platform) Unregister(tenant, name string) error {
 	p.mu.Lock()
 	fn, err := p.lookupLocked(tenant, name)
 	if err != nil {
@@ -694,18 +695,6 @@ type Req struct {
 //
 //go:noinline
 func (p *Platform) Invoke(r Req) (Result, error) { return p.invoke(r, 1) }
-
-// UnregisterFor removes tenant's function name, resolving only within that
-// tenant's namespace: another tenant's same-named function is untouched and
-// unprobeable (ErrNoFunction either way).
-func (p *Platform) UnregisterFor(tenant, name string) error {
-	return p.unregister(tenant, name)
-}
-
-// StatsFor is Stats resolved within tenant's namespace.
-func (p *Platform) StatsFor(tenant, name string) (Stats, error) {
-	return p.stats(tenant, name)
-}
 
 // FunctionInfo summarizes one registered function for control-plane listings.
 type FunctionInfo struct {
@@ -959,70 +948,25 @@ func (p *Platform) invoke(r Req, attempt int) (Result, error) {
 }
 
 // asyncRetryBase is the backoff before an async re-execution; it doubles per
-// attempt (providers space retries out so transient failures can clear).
+// attempt up to the retry policy's cap (providers space retries out so
+// transient failures can clear).
 const asyncRetryBase = 500 * time.Millisecond
 
-// asyncJitter is the fraction of each async backoff that is randomized, so
-// a burst of failed invocations does not re-execute in lockstep.
-const asyncJitter = 0.2
-
 // InvokeAsync runs a function on its own goroutine, transparently
-// re-executing it on failure — with exponential backoff plus jitter — up to
-// the function's MaxRetries (§4.1: "most FaaS platforms re-execute functions
-// transparently on failure"). Every attempt presents r.IdemKey. done, if
-// non-nil, receives the final result; its Attempt and RetryWait fields
-// surface how many executions it took and how long the retries backed off in
-// total.
+// re-executing it on failure up to the function's MaxRetries (§4.1: "most
+// FaaS platforms re-execute functions transparently on failure"). It is
+// InvokeWithRetry under the policy {MaxAttempts: MaxRetries+1, Base:
+// asyncRetryBase}, so both modes share one loop, one backoff cap and one
+// retry predicate. done, if non-nil, receives the final result; its Attempt
+// and RetryWait fields surface how many executions it took and how long the
+// retries backed off in total.
 func (p *Platform) InvokeAsync(r Req, done func(Result, error)) {
 	p.clock.Go(func() {
-		fn, lookupErr := p.lookup(r.Tenant, r.Name)
-		retries := 0
-		if lookupErr == nil {
-			retries = fn.cfg.MaxRetries
+		pol := RetryPolicy{MaxAttempts: 1, Base: asyncRetryBase}
+		if fn, err := p.lookup(r.Tenant, r.Name); err == nil {
+			pol.MaxAttempts = fn.cfg.MaxRetries + 1
 		}
-		// One async submission is one trace (or one subtree of r.Trace): the
-		// wrapper span roots it, each execution attempt and each backoff
-		// sleep is a child, so a trace of a retried request shows attempt 1
-		// failing, the wait, attempt 2...
-		root := p.obsTracer.Start(r.Trace, "faas.invoke.async")
-		req := r // r stays unmodified so the closure captures it by value
-		req.Trace = root.Ctx()
-		var res Result
-		var err error
-		var waited time.Duration
-		backoff := asyncRetryBase
-		for attempt := 1; attempt <= retries+1; attempt++ {
-			if attempt > 1 {
-				d := p.jittered(backoff, asyncJitter)
-				wspan := p.obsTracer.Start(root.Ctx(), "faas.retry.backoff")
-				p.clock.Sleep(d)
-				wspan.End()
-				waited += d
-				backoff *= 2
-			}
-			res, err = p.invoke(req, attempt)
-			res.Attempt = attempt
-			res.RetryWait = waited
-			if err == nil {
-				break
-			}
-			// A tenant-level shed is an explicit back-pressure signal:
-			// retrying it from inside the platform would amplify exactly
-			// the overload admission is shedding (a retry storm). Surface
-			// it to the caller instead.
-			if errors.Is(err, ErrTenantThrottled) {
-				break
-			}
-		}
-		p.obsRetryWait.Observe(waited)
-		if root.Active() {
-			res.TraceID = root.TraceID()
-		}
-		if fn != nil {
-			root.EndLabeled(fn.tenant, fn.name, err != nil)
-		} else {
-			root.EndErr(true)
-		}
+		res, err := p.InvokeWithRetry(r, pol)
 		if done != nil {
 			done(res, err)
 		}
@@ -1103,10 +1047,9 @@ type Stats struct {
 }
 
 // Stats returns a snapshot for a function, with the warm pool reaped as of
-// now (so WarmIdle reflects scale-to-zero).
-func (p *Platform) Stats(name string) (Stats, error) { return p.stats("", name) }
-
-func (p *Platform) stats(tenant, name string) (Stats, error) {
+// now (so WarmIdle reflects scale-to-zero). tenant and name resolve as in
+// Unregister.
+func (p *Platform) Stats(tenant, name string) (Stats, error) {
 	fn, err := p.lookup(tenant, name)
 	if err != nil {
 		return Stats{}, err

@@ -44,8 +44,8 @@ func TestRegisterDuplicateAndMissing(t *testing.T) {
 	if _, err := p.Invoke(Req{Name: "ghost"}); !errors.Is(err, ErrNoFunction) {
 		t.Fatalf("err = %v", err)
 	}
-	must(t, p.Unregister("f"))
-	if err := p.Unregister("f"); !errors.Is(err, ErrNoFunction) {
+	must(t, p.Unregister("", "f"))
+	if err := p.Unregister("", "f"); !errors.Is(err, ErrNoFunction) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -103,12 +103,12 @@ func TestScaleToZero(t *testing.T) {
 			_, err := p.Invoke(Req{Name: "f"})
 			must(t, err)
 		}
-		st, _ := p.Stats("f")
+		st, _ := p.Stats("", "f")
 		if st.WarmIdle != 1 {
 			t.Errorf("warm idle = %d, want 1 (sequential reuse)", st.WarmIdle)
 		}
 		v.Sleep(5 * time.Minute)
-		st, _ = p.Stats("f")
+		st, _ = p.Stats("", "f")
 		if st.WarmIdle != 0 || st.Running != 0 {
 			t.Errorf("did not scale to zero: %+v", st)
 		}
@@ -126,7 +126,7 @@ func TestDemandDrivenScaleOut(t *testing.T) {
 		rep := Drive(p, "f", nil, make([]time.Duration, 8)) // 8 arrivals at t=0
 		rep.Wait()
 		end = v.Now()
-		st, _ := p.Stats("f")
+		st, _ := p.Stats("", "f")
 		if st.ColdStarts != 8 {
 			t.Errorf("cold starts = %d, want 8", st.ColdStarts)
 		}
@@ -179,7 +179,7 @@ func TestExecutionTimeLimit(t *testing.T) {
 		if e := v.Now().Sub(start); e > 2*time.Second {
 			t.Errorf("timeout did not bound execution: %v", e)
 		}
-		st, _ := p.Stats("slow")
+		st, _ := p.Stats("", "slow")
 		if st.Timeouts != 1 {
 			t.Errorf("timeouts = %d", st.Timeouts)
 		}
@@ -276,9 +276,9 @@ func TestTimelineRecordsScaling(t *testing.T) {
 		rep := Drive(p, "f", nil, make([]time.Duration, 4))
 		rep.Wait()
 		v.Sleep(2 * time.Minute)
-		p.Stats("f") // force reap
+		p.Stats("", "f") // force reap
 	})
-	st, _ := p.Stats("f")
+	st, _ := p.Stats("", "f")
 	peak := 0
 	for _, pt := range st.Timeline {
 		if pt.Instances > peak {
@@ -317,7 +317,7 @@ func TestHandlerErrorCountsAsFailure(t *testing.T) {
 	if _, err := p.Invoke(Req{Name: "f"}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	st, _ := p.Stats("f")
+	st, _ := p.Stats("", "f")
 	if st.Failures != 1 {
 		t.Fatalf("failures = %d", st.Failures)
 	}

@@ -101,7 +101,7 @@ func TestPrewarmedUnregisterReleasesCluster(t *testing.T) {
 	if cluster.ActiveMachines() == 0 {
 		t.Fatal("prewarmed instances not placed")
 	}
-	must(t, p.Unregister("pw"))
+	must(t, p.Unregister("", "pw"))
 	if cluster.ActiveMachines() != 0 {
 		t.Fatalf("unregister left %d machines active", cluster.ActiveMachines())
 	}

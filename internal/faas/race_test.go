@@ -52,7 +52,7 @@ func TestParallelWarmInvokes(t *testing.T) {
 	wg.Wait()
 	var invocations int64
 	for i := 0; i < fns; i++ {
-		st, err := p.Stats(fmt.Sprintf("f%d", i))
+		st, err := p.Stats("", fmt.Sprintf("f%d", i))
 		must(t, err)
 		invocations += st.Invocations
 		if st.Throttles != 0 {

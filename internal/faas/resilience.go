@@ -6,13 +6,13 @@ import (
 	"time"
 )
 
-// This file is the platform's sync-invoke resilience plane: a per-function
-// circuit breaker (closed → open → half-open) that sheds load fast when a
-// handler persistently fails, and a capped exponential-backoff retry policy
-// with deterministic jitter for callers who want at-least-once semantics on
-// the synchronous path. Jangda et al. ("Formal Foundations of Serverless
-// Computing") make the case that retry behaviour *is* the observable
-// contract of a FaaS platform; this makes ours explicit and testable.
+// This file is the platform's resilience plane: a per-function circuit
+// breaker (closed → open → half-open) that sheds load fast when a handler
+// persistently fails, and the one retry loop — capped exponential backoff
+// with deterministic jitter — behind both InvokeWithRetry and InvokeAsync.
+// Jangda et al. ("Formal Foundations of Serverless Computing") make the case
+// that retry behaviour *is* the observable contract of a FaaS platform; this
+// makes ours explicit and testable.
 
 // breakerState is the circuit breaker's position.
 type breakerState int
@@ -23,7 +23,7 @@ const (
 	breakerHalfOpen
 )
 
-// gaugeValue encodes the state for the faas.breaker.state.<fn> gauge:
+// gaugeValue encodes the state for the faas.breaker.state.<tenant/name> gauge:
 // 0 closed, 1 open, 0.5 half-open.
 func (s breakerState) gaugeValue() float64 {
 	switch s {
@@ -164,7 +164,7 @@ type RetryPolicy struct {
 	// and re-invokes — which is what lets the conformance explorer
 	// (internal/conform) drive every attempt boundary as an explicit
 	// decision point. Non-retryable platform errors (unknown function,
-	// oversized payload, open breaker) still end the loop.
+	// oversized payload, open breaker, tenant shed) still end the loop.
 	Decide func(attempt int, res Result, err error) bool
 }
 
@@ -216,17 +216,17 @@ func (p *Platform) jittered(d time.Duration, frac float64) time.Duration {
 
 // InvokeWithRetry runs a function synchronously, re-invoking failed attempts
 // after a capped exponential backoff with jitter. Errors that retrying
-// cannot fix — unknown function, oversized payload, an open circuit breaker
-// — return immediately: the breaker exists to shed load, so hammering it
-// from the retry loop would defeat the point. Every attempt presents
-// r.IdemKey, so on a function with a DedupWindow a retry of an attempt that
-// actually succeeded (a lost reply) is served from the dedup cache instead
-// of re-executing the handler. The returned Result's Attempt and RetryWait
+// cannot fix, or that shed load on purpose, return immediately (see
+// retryable). Every attempt presents r.IdemKey, so on a function with a
+// DedupWindow a retry of an attempt that actually succeeded (a lost reply)
+// is served from the dedup cache instead of re-executing the handler. The returned Result's Attempt and RetryWait
 // fields report the attempt that produced it and the total backoff slept.
 func (p *Platform) InvokeWithRetry(r Req, pol RetryPolicy) (Result, error) {
 	pol = pol.withDefaults()
-	// All attempts share one trace under a retry-wrapper root, mirroring
-	// InvokeAsync: a retried request reads as one causal story, not N.
+	fn, _ := p.lookup(r.Tenant, r.Name)
+	// All attempts share one trace under a retry-wrapper root: each attempt
+	// and each backoff sleep is a child, so a retried request reads as one
+	// causal story (attempt 1 failing, the wait, attempt 2...), not N.
 	root := p.obsTracer.Start(r.Trace, "faas.invoke.retry")
 	r.Trace = root.Ctx()
 	var res Result
@@ -257,15 +257,24 @@ func (p *Platform) InvokeWithRetry(r Req, pol RetryPolicy) (Result, error) {
 	if root.Active() {
 		res.TraceID = root.TraceID()
 	}
-	root.EndErr(err != nil)
+	if fn != nil {
+		root.EndLabeled(fn.tenant, fn.name, err != nil)
+	} else {
+		root.EndErr(err != nil)
+	}
 	return res, err
 }
 
-// retryable reports whether a retry could plausibly change the outcome.
+// retryable is the one retry rule of both invoke modes: false for errors a
+// retry cannot fix (unknown function, oversized payload) and for deliberate
+// load shedding. An open breaker and a tenant admission shed exist to take
+// load off; retrying from inside the platform would amplify exactly the
+// overload they shed (a retry storm), so both surface to the caller.
 func retryable(err error) bool {
 	return !errors.Is(err, ErrNoFunction) &&
 		!errors.Is(err, ErrPayloadSize) &&
-		!errors.Is(err, ErrCircuitOpen)
+		!errors.Is(err, ErrCircuitOpen) &&
+		!errors.Is(err, ErrTenantThrottled)
 }
 
 // BreakerState reports a function's current breaker position ("closed",

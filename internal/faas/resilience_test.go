@@ -44,7 +44,7 @@ func TestBreakerOpensAndFastFails(t *testing.T) {
 		if st, _ := p.BreakerState("f"); st != "open" {
 			t.Errorf("breaker state = %q, want open", st)
 		}
-		before, _ := p.Stats("f")
+		before, _ := p.Stats("", "f")
 		fastFails := 0
 		for i := 0; i < 100; i++ {
 			if _, err := p.Invoke(Req{Name: "f"}); errors.Is(err, ErrCircuitOpen) {
@@ -54,7 +54,7 @@ func TestBreakerOpensAndFastFails(t *testing.T) {
 		if fastFails < 95 {
 			t.Errorf("fast-fails = %d/100, want >= 95", fastFails)
 		}
-		after, _ := p.Stats("f")
+		after, _ := p.Stats("", "f")
 		if after.Invocations != before.Invocations {
 			t.Errorf("open breaker consumed slots: invocations %d -> %d", before.Invocations, after.Invocations)
 		}
@@ -68,12 +68,12 @@ func TestBreakerOpensAndFastFails(t *testing.T) {
 	snap := reg.Snapshot()
 	found := false
 	for _, g := range snap.Gauges {
-		if g.Name == "faas.breaker.state.f" && g.Value == 1 {
+		if g.Name == "faas.breaker.state.t/f" && g.Value == 1 {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("faas.breaker.state.f gauge not 1 (open) in snapshot")
+		t.Error("faas.breaker.state.t/f gauge not 1 (open) in snapshot")
 	}
 }
 
@@ -265,5 +265,187 @@ func TestAsyncRetryJitterBounds(t *testing.T) {
 	// Waits: U(400,500]ms + U(800,1000]ms ⇒ total in (1200ms, 1500ms].
 	if final.RetryWait <= 1200*time.Millisecond || final.RetryWait > 1500*time.Millisecond {
 		t.Fatalf("RetryWait = %v, want in (1200ms, 1500ms]", final.RetryWait)
+	}
+}
+
+// runAsync submits one async invocation and blocks the driving goroutine
+// until its done callback has fired.
+func runAsync(v *simclock.Virtual, p *Platform, r Req) (Result, error) {
+	var res Result
+	var err error
+	done := make(chan struct{})
+	p.InvokeAsync(r, func(rr Result, e error) {
+		res, err = rr, e
+		close(done)
+	})
+	v.BlockOn(func() { <-done })
+	return res, err
+}
+
+// TestAsyncStopsOnOpenBreaker: async invocations share the sync retry rule,
+// so an open breaker ends the loop at the first attempt without backing off.
+func TestAsyncStopsOnOpenBreaker(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	p := New(v, nil)
+	var healthy int64
+	must(t, p.Register("f", "t", failing(&healthy), Config{
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour,
+	}))
+	v.Run(func() {
+		p.Invoke(Req{Name: "f"}) // opens the breaker
+		res, err := runAsync(v, p, Req{Name: "f"})
+		if !errors.Is(err, ErrCircuitOpen) {
+			t.Errorf("err = %v, want ErrCircuitOpen", err)
+		}
+		if res.Attempt != 1 || res.RetryWait != 0 {
+			t.Errorf("Attempt = %d, RetryWait = %v; want 1, 0 against an open breaker", res.Attempt, res.RetryWait)
+		}
+	})
+}
+
+// TestInvokeWithRetryStopsOnTenantShed: an admission shed is back-pressure,
+// not a transient fault; the sync retry loop surfaces it after one attempt.
+func TestInvokeWithRetryStopsOnTenantShed(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	p := New(v, nil)
+	must(t, p.Register("f", "t", echo, Config{}))
+	p.SetAdmission(AdmissionConfig{RatePerSecond: 1, Burst: 1, MaxQueue: 1, MaxWait: time.Millisecond})
+	v.Run(func() {
+		if _, err := p.Invoke(Req{Name: "f"}); err != nil { // spends the only token
+			t.Fatalf("first invoke: %v", err)
+		}
+		res, err := p.InvokeWithRetry(Req{Name: "f"}, RetryPolicy{MaxAttempts: 5})
+		if !errors.Is(err, ErrTenantThrottled) {
+			t.Errorf("err = %v, want ErrTenantThrottled", err)
+		}
+		if res.Attempt != 1 || res.RetryWait != 0 {
+			t.Errorf("Attempt = %d, RetryWait = %v; want 1, 0 on a tenant shed", res.Attempt, res.RetryWait)
+		}
+	})
+	if got := p.AdmissionShed("t"); got != 1 {
+		t.Errorf("shed = %d, want 1", got)
+	}
+}
+
+// TestAsyncBackoffCapped: a long async retry budget backs off under the
+// policy cap. Uncapped doubling from 500ms overflows time.Duration by the
+// 37th attempt and degenerates into a no-sleep spin.
+func TestAsyncBackoffCapped(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	p := New(v, nil)
+	reg := obs.New(v)
+	p.SetObs(reg)
+	var healthy int64
+	must(t, p.Register("f", "t", failing(&healthy), Config{MaxRetries: 40}))
+	var res Result
+	v.Run(func() { res, _ = runAsync(v, p, Req{Name: "f"}) })
+	if res.Attempt != 41 {
+		t.Fatalf("Attempt = %d, want 41", res.Attempt)
+	}
+	if res.RetryWait <= 0 || res.RetryWait > 40*10*time.Second {
+		t.Fatalf("RetryWait = %v, want in (0, 400s]", res.RetryWait)
+	}
+	backoffs := 0
+	for _, sd := range reg.Tracer().Spans() {
+		if sd.Name != "faas.retry.backoff" {
+			continue
+		}
+		backoffs++
+		if sd.Duration <= 0 || sd.Duration > 10*time.Second {
+			t.Errorf("backoff %d slept %v, want in (0, 10s]", backoffs, sd.Duration)
+		}
+	}
+	if backoffs != 40 {
+		t.Fatalf("backoff spans = %d, want 40", backoffs)
+	}
+}
+
+// TestAsyncOneLabeledRetryRoot: one async submission is one trace whose
+// root is the labeled faas.invoke.retry span, with every attempt and every
+// backoff as its direct children.
+func TestAsyncOneLabeledRetryRoot(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	p := New(v, nil)
+	reg := obs.New(v)
+	p.SetObs(reg)
+	var calls int64
+	flaky := func(ctx *Ctx, payload []byte) ([]byte, error) {
+		if atomic.AddInt64(&calls, 1) < 3 {
+			return nil, errors.New("transient")
+		}
+		return nil, nil
+	}
+	must(t, p.Register("f", "t", flaky, Config{MaxRetries: 2}))
+	var res Result
+	var err error
+	v.Run(func() { res, err = runAsync(v, p, Req{Name: "f"}) })
+	if err != nil || res.Attempt != 3 {
+		t.Fatalf("async = attempt %d, %v; want attempt 3, nil", res.Attempt, err)
+	}
+	var roots []obs.SpanData
+	children := map[string]int{}
+	spans := reg.Tracer().Spans()
+	for _, sd := range spans {
+		if sd.SpanID == sd.TraceID {
+			roots = append(roots, sd)
+		}
+	}
+	if len(roots) != 1 {
+		t.Fatalf("roots = %d, want 1", len(roots))
+	}
+	root := roots[0]
+	if root.Name != "faas.invoke.retry" || root.Tenant != "t" || root.Fn != "f" || root.Err {
+		t.Fatalf("root = %s tenant=%q fn=%q err=%v; want faas.invoke.retry tenant=t fn=f ok",
+			root.Name, root.Tenant, root.Fn, root.Err)
+	}
+	if res.TraceID != root.TraceID {
+		t.Errorf("Result.TraceID = %d, want root trace %d", res.TraceID, root.TraceID)
+	}
+	for _, sd := range spans {
+		if sd.ParentID == root.SpanID {
+			children[sd.Name]++
+		}
+	}
+	if children["faas.invoke"] != 3 || children["faas.retry.backoff"] != 2 {
+		t.Errorf("root children = %v, want 3 faas.invoke and 2 faas.retry.backoff", children)
+	}
+}
+
+// TestBreakerGaugePerTenant: two tenants' same-named functions keep
+// separate breaker gauges, so one tenant's re-closed breaker cannot mask
+// another's open one.
+func TestBreakerGaugePerTenant(t *testing.T) {
+	v := simclock.NewVirtual()
+	defer v.Close()
+	p := New(v, nil)
+	reg := obs.New(v)
+	p.SetObs(reg)
+	var healthyA, healthyB int64
+	cfg := Config{BreakerThreshold: 1, BreakerCooldown: time.Second}
+	must(t, p.Register("f", "a", failing(&healthyA), cfg))
+	must(t, p.Register("f", "b", failing(&healthyB), cfg))
+	v.Run(func() {
+		p.Invoke(Req{Tenant: "a", Name: "f"}) // opens a's breaker
+		p.Invoke(Req{Tenant: "b", Name: "f"}) // opens b's breaker
+		atomic.StoreInt64(&healthyB, 1)
+		v.Sleep(2 * time.Second)
+		if _, err := p.Invoke(Req{Tenant: "b", Name: "f"}); err != nil { // b's probe re-closes
+			t.Errorf("b probe: %v", err)
+		}
+	})
+	gauges := map[string]float64{}
+	for _, g := range reg.Snapshot().Gauges {
+		gauges[g.Name] = g.Value
+	}
+	if v, ok := gauges["faas.breaker.state.a/f"]; !ok || v != 1 {
+		t.Errorf("faas.breaker.state.a/f = %v (present %v), want 1 (open)", v, ok)
+	}
+	if v, ok := gauges["faas.breaker.state.b/f"]; !ok || v != 0 {
+		t.Errorf("faas.breaker.state.b/f = %v (present %v), want 0 (closed)", v, ok)
 	}
 }

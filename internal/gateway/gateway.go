@@ -327,7 +327,8 @@ func (g *Gateway) handleInvokeAsync(w http.ResponseWriter, r *http.Request, tena
 
 	// InvokeAsync spawns its own clock-tracked goroutine and applies the
 	// platform's transparent retry; the callback lands on that goroutine.
-	g.p.FaaS.InvokeAsync(faas.Req{Tenant: tenant, Name: name, Payload: payload}, func(res faas.Result, err error) {
+	req := faas.Req{Tenant: tenant, Name: name, Payload: payload, IdemKey: r.Header.Get("Idempotency-Key")}
+	g.p.FaaS.InvokeAsync(req, func(res faas.Result, err error) {
 		g.mu.Lock()
 		if inv := g.invs[id]; inv != nil {
 			inv.done, inv.res, inv.err = true, res, err

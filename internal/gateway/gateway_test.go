@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -240,6 +241,22 @@ func TestPayloadTooLarge(t *testing.T) {
 	}
 }
 
+// awaitInvocation polls an async invocation until it leaves "pending".
+func awaitInvocation(t *testing.T, c *Client, id string) InvocationStatus {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st, err := c.Invocation(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Status != "pending" || time.Now().After(deadline) {
+			return st
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestAsyncLifecycle: submit → pending id → poll to completion; unknown and
 // cross-tenant ids are 404 no_invocation.
 func TestAsyncLifecycle(t *testing.T) {
@@ -257,18 +274,7 @@ func TestAsyncLifecycle(t *testing.T) {
 		t.Fatalf("id = %q, want inv-* form", id)
 	}
 
-	var st InvocationStatus
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, err = c.Invocation(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Status != "pending" || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	st := awaitInvocation(t, c, id)
 	if st.Status != "succeeded" {
 		t.Fatalf("final status = %q, want succeeded", st.Status)
 	}
@@ -289,6 +295,50 @@ func TestAsyncLifecycle(t *testing.T) {
 	}
 }
 
+// TestAsyncIdempotencyKey: an async submit carries its Idempotency-Key into
+// the faas dedup window, as a sync invoke does, so a re-submitted key runs
+// the handler once.
+func TestAsyncIdempotencyKey(t *testing.T) {
+	p, srv := newRealGateway(t, nil)
+	c := &Client{BaseURL: srv.URL, Token: "tok-a"}
+	var runs atomic.Int64
+	count := func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
+		runs.Add(1)
+		return payload, nil
+	}
+	if err := p.Tenant("alpha").Register("once", count, faas.Config{
+		ColdStart: time.Millisecond, WarmStart: time.Millisecond, DedupWindow: time.Minute,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/functions/once/invoke-async", strings.NewReader("x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer tok-a")
+		req.Header.Set("Idempotency-Key", "k1")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sub struct {
+			ID string `json:"id"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&sub)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d, decode %v", i, resp.StatusCode, err)
+		}
+		if st := awaitInvocation(t, c, sub.ID); st.Status != "succeeded" || string(st.Output) != "x" {
+			t.Fatalf("submit %d: status = %+v, want succeeded with output x", i, st)
+		}
+	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("handler ran %d times for one Idempotency-Key, want 1", got)
+	}
+}
+
 // TestAsyncFailureSurfacesEnvelopeCode: a handler that always fails reports
 // status "failed" with the wire-table code for the underlying error.
 func TestAsyncFailureSurfacesEnvelopeCode(t *testing.T) {
@@ -304,18 +354,7 @@ func TestAsyncFailureSurfacesEnvelopeCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st InvocationStatus
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, err = c.Invocation(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Status != "pending" || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	st := awaitInvocation(t, c, id)
 	if st.Status != "failed" || st.Error == nil {
 		t.Fatalf("status = %+v, want failed with error body", st)
 	}

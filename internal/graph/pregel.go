@@ -168,7 +168,7 @@ func Run(p *faas.Platform, ns *jiffy.Namespace, g *Graph, prog VertexProgram, cf
 	if err := p.Register(fnName, cfg.Tenant, worker, cfg.Worker); err != nil {
 		return nil, RunStats{}, err
 	}
-	defer p.Unregister(fnName)
+	defer p.Unregister("", fnName)
 
 	stats := RunStats{}
 	for step := 0; step < cfg.MaxSupersteps; step++ {

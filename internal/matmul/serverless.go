@@ -141,7 +141,7 @@ func MulBlocked(p *faas.Platform, ns *jiffy.Namespace, a, b Matrix, cfg Serverle
 	if err := p.Register(fnName, cfg.Tenant, worker, cfg.Worker); err != nil {
 		return Matrix{}, err
 	}
-	defer p.Unregister(fnName)
+	defer p.Unregister("", fnName)
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -248,7 +248,7 @@ func StrassenServerless(p *faas.Platform, ns *jiffy.Namespace, a, b Matrix, cuto
 	if err := p.Register(fnName, cfg.Tenant, worker, cfg.Worker); err != nil {
 		return Matrix{}, err
 	}
-	defer p.Unregister(fnName)
+	defer p.Unregister("", fnName)
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex

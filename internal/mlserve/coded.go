@@ -120,7 +120,7 @@ func MatVec(p *faas.Platform, a [][]float64, x []float64, cfg CodedConfig) (Code
 	}); err != nil {
 		return CodedReport{}, err
 	}
-	defer p.Unregister(fnName)
+	defer p.Unregister("", fnName)
 
 	start := clock.Now()
 	var mu sync.Mutex

@@ -80,7 +80,7 @@ func GridSearch(p *faas.Platform, train, val Dataset, cfg HyperConfig) (HyperRep
 	}); err != nil {
 		return HyperReport{}, err
 	}
-	defer p.Unregister(fnName)
+	defer p.Unregister("", fnName)
 
 	var grid []Trial
 	for _, lr := range cfg.LRs {

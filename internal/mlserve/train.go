@@ -130,7 +130,7 @@ func TrainDistributed(p *faas.Platform, ds Dataset, cfg TrainConfig) (TrainRepor
 	}); err != nil {
 		return TrainReport{}, err
 	}
-	defer p.Unregister(fnName)
+	defer p.Unregister("", fnName)
 
 	rep := TrainReport{}
 	for r := 0; r < cfg.Rounds; r++ {

@@ -156,7 +156,7 @@ func encodeChunked(p *faas.Platform, v Video, cost CostModel, chunks int) (Repor
 	}); err != nil {
 		return Report{}, err
 	}
-	defer p.Unregister(fnName)
+	defer p.Unregister("", fnName)
 
 	per := (len(v.Frames) + chunks - 1) / chunks
 	var wg sync.WaitGroup
